@@ -24,7 +24,6 @@ from .oracle import (
     QuadratureSettings,
     bessel_laplace_i_st,
     bessel_laplace_variogram,
-    modified_bessel_i,
     quadrature_variogram,
 )
 from .specfun import (
@@ -37,16 +36,13 @@ from .specfun import (
     binomial,
     digamma,
     f4_equal_args_reduction,
-    hyp3f2_terminating,
     hyp4f3_series,
-    pochhammer,
 )
 from .variogram import (
     CoeffPair,
     Lag,
     Method,
     Regime,
-    SymmetricExpansionTerms,
     VariogramResult,
     b_ss_closed,
     b_st,
@@ -73,19 +69,16 @@ __all__ = [
     "SeriesValue",
     "F4Params",
     "ZeroBalanced4F3",
-    "pochhammer",
     "digamma",
     "binomial",
     "appell_f4",
     "appell_f2",
-    "hyp3f2_terminating",
     "hyp4f3_series",
     "f4_equal_args_reduction",
     "Lag",
     "CoeffPair",
     "Regime",
     "Method",
-    "SymmetricExpansionTerms",
     "VariogramResult",
     "i_st",
     "variogram_exact",
@@ -102,7 +95,6 @@ __all__ = [
     "quadrature_variogram",
     "bessel_laplace_i_st",
     "bessel_laplace_variogram",
-    "modified_bessel_i",
     "IavarError",
     "DomainError",
     "OutOfRegionError",

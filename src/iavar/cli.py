@@ -25,7 +25,6 @@ from .variogram import (
     CoeffPair,
     Lag,
     Regime,
-    VariogramResult,
     variogram,
     variogram_edge,
     variogram_exact,
@@ -73,13 +72,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _record_from_result(args, res: VariogramResult) -> OutputRecord:
-    terms = sum(sv.terms_used for sv in res.diagnostics.values())
-    return OutputRecord(
-        args.s, args.t, args.a, args.b, res.value, res.method.value, res.est_error, terms
-    )
-
-
 def _make_config(args) -> EvalConfig:
     if args.tol is None:
         return EvalConfig(max_terms=args.max_terms)
@@ -92,15 +84,16 @@ def _make_quadrature(args) -> QuadratureSettings:
     return QuadratureSettings(abs_tol=args.tol, rel_tol=args.tol)
 
 
+def _record(a, b, lag, value, method: str, est_error, diagnostics=None) -> OutputRecord:
+    """One output row; ``terms`` sums the series terms in ``diagnostics``."""
+    terms = sum(sv.terms_used for sv in (diagnostics or {}).values())
+    return OutputRecord(lag.s, lag.t, a, b, value, method, est_error, terms)
+
+
 def _eval_one(a, b, lag, method, cfg, quad_settings) -> OutputRecord:
     if method == "auto":
-        pair = CoeffPair.from_ab(a, b)
-        res = variogram(pair, lag, cfg)
-        return OutputRecord(
-            lag.s, lag.t, a, b, res.value, res.method.value, res.est_error,
-            sum(sv.terms_used for sv in res.diagnostics.values()),
-        )
-    if method == "exact":
+        res = variogram(CoeffPair.from_ab(a, b), lag, cfg)
+    elif method == "exact":
         res = variogram_exact(CoeffPair.from_ab(a, b), lag, cfg)
     elif method == "edge":
         if abs(a + b - 0.5) > 1e-9:
@@ -111,18 +104,13 @@ def _eval_one(a, b, lag, method, cfg, quad_settings) -> OutputRecord:
         if pair.regime is not Regime.SYMMETRIC_QUARTER:
             raise DomainError("--method symmetric requires a = b = 1/4")
         res = variogram_symmetric(lag, cfg)
-    elif method == "quad":
-        value = quadrature_variogram(CoeffPair.from_ab(a, b), lag, quad_settings)
-        return OutputRecord(lag.s, lag.t, a, b, value, "quad", quad_settings.abs_tol, 0)
-    elif method == "bessel":
-        value = bessel_laplace_variogram(CoeffPair.from_ab(a, b), lag, quad_settings)
-        return OutputRecord(lag.s, lag.t, a, b, value, "bessel", quad_settings.abs_tol, 0)
+    elif method in ("quad", "bessel"):
+        oracle = quadrature_variogram if method == "quad" else bessel_laplace_variogram
+        value = oracle(CoeffPair.from_ab(a, b), lag, quad_settings)
+        return _record(a, b, lag, value, method, quad_settings.abs_tol)
     else:  # pragma: no cover - argparse restricts choices
         raise DomainError(f"unknown method {method}")
-    return OutputRecord(
-        lag.s, lag.t, a, b, res.value, res.method.value, res.est_error,
-        sum(sv.terms_used for sv in res.diagnostics.values()),
-    )
+    return _record(a, b, lag, res.value, res.method.value, res.est_error, res.diagnostics)
 
 
 def _cmd_eval(args) -> int:

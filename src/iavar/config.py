@@ -21,36 +21,20 @@ class EvalConfig:
         ``rel_tol * max(1, |value|)``.
     max_terms:
         Cap on the number of summed terms of any single series evaluation.
-    theta_schedule:
-        Decreasing interior offsets used by the boundary (Abel-limit)
-        variogram path; the limit value is extrapolated from evaluations
-        at these offsets.  With four or more points the extrapolation
-        model carries the next-order remainder term, which both tightens
-        the value and makes the reported error bound honest.
-    bseries_kmax:
-        Number of exactly-computed leading terms of the slowly convergent
-        expansion constant series before tail extrapolation takes over.
+
+    The boundary path's offset schedule and the number of exact
+    expansion-constant terms are fixed by the methods themselves; see
+    :func:`iavar.variogram.variogram_edge` and :func:`iavar.variogram.b_st`.
     """
 
     rel_tol: float = 1e-10
     max_terms: int = 10_000_000
-    theta_schedule: tuple[float, ...] = (8e-3, 4e-3, 2e-3, 1e-3)
-    bseries_kmax: int = 192
 
     def __post_init__(self) -> None:
         if not (0.0 < self.rel_tol < 1.0):
             raise DomainError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
         if self.max_terms < 1:
             raise DomainError("max_terms must be positive")
-        if len(self.theta_schedule) < 3:
-            raise DomainError("theta_schedule needs at least three points")
-        thetas = tuple(self.theta_schedule)
-        if any(not (0.0 < th < 1.0) for th in thetas):
-            raise DomainError("theta values must lie in (0, 1)")
-        if list(thetas) != sorted(thetas, reverse=True):
-            raise DomainError("theta_schedule must be strictly decreasing")
-        if self.bseries_kmax < 32:
-            raise DomainError("bseries_kmax must be at least 32")
 
 
 DEFAULT_CONFIG = EvalConfig()

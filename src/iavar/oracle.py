@@ -32,28 +32,25 @@ __all__ = [
     "quadrature_variogram",
     "bessel_laplace_i_st",
     "bessel_laplace_variogram",
-    "modified_bessel_i",
 ]
 
 _EDGE_SPLIT_GAP = 1e-6
+# Radius of the polar quarter-disk patch around the origin (boundary case).
+_ORIGIN_SPLIT_RADIUS = 0.1
+# Subinterval limit of each adaptive quadrature call.
+_QUAD_LIMIT = 200
 
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Controls for the oracle integrators."""
+    """Absolute and relative error tolerances of the oracle integrators."""
 
     abs_tol: float = 1e-9
     rel_tol: float = 1e-8
-    max_subdivisions: int = 200
-    origin_split_radius: float = 0.1
 
     def __post_init__(self) -> None:
         if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
             raise DomainError("tolerances must be positive")
-        if self.max_subdivisions < 10:
-            raise DomainError("max_subdivisions must be at least 10")
-        if not (0.0 < self.origin_split_radius <= math.pi / 4.0):
-            raise DomainError("origin_split_radius must lie in (0, pi/4]")
 
 
 def _den_scalar(a: float, b: float, gap: float, x: float, y: float) -> float:
@@ -99,7 +96,7 @@ def _quadrature_variogram_impl(
         return _num_scalar(s, t, x, y) / _den_scalar(a, b, gap, x, y)
 
     split = gap <= _EDGE_SPLIT_GAP
-    delta = q.origin_split_radius
+    delta = _ORIGIN_SPLIT_RADIUS
 
     patch = 0.0
     if split:
@@ -131,7 +128,7 @@ def _quadrature_variogram_impl(
             math.pi,
             epsabs=inner_eps,
             epsrel=q.rel_tol / 10.0,
-            limit=q.max_subdivisions,
+            limit=_QUAD_LIMIT,
         )
         inner_errs.append(err)
         return val
@@ -143,7 +140,7 @@ def _quadrature_variogram_impl(
         math.pi,
         epsabs=outer_eps,
         epsrel=q.rel_tol / 3.0,
-        limit=q.max_subdivisions,
+        limit=_QUAD_LIMIT,
         points=points,
     )
     value = (patch + outer_val) / math.pi**2
@@ -216,6 +213,11 @@ def _ive_asymptotic_vec(n: int, x: np.ndarray) -> np.ndarray:
 
 
 def _ive_vec(n: int, x: np.ndarray) -> np.ndarray:
+    """exp(-x) I_n(x) for integer order n >= 0 and x >= 0.
+
+    Power series up to x = 650 (all terms positive, so no cancellation),
+    scaled large-argument expansion above.
+    """
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
     small = x <= _SERIES_SWITCH
@@ -224,26 +226,6 @@ def _ive_vec(n: int, x: np.ndarray) -> np.ndarray:
     if np.any(~small):
         out[~small] = _ive_asymptotic_vec(n, x[~small])
     return out
-
-
-def modified_bessel_i(n: int, x: float) -> float:
-    """Modified Bessel function of the first kind, integer order.
-
-    Power series below x = 650 (all terms positive, so no cancellation),
-    scaled large-argument expansion above.  Overflows to ``inf`` past
-    x ~ 709 like ``exp``.
-    """
-    if n < 0:
-        raise DomainError("order must be nonnegative")
-    if x < 0.0:
-        raise DomainError("argument must be nonnegative")
-    scaled = float(_ive_vec(n, np.asarray([x]))[0])
-    if scaled == 0.0:
-        return 0.0
-    log_val = x + math.log(scaled)
-    if log_val > 709.0:
-        return math.inf
-    return math.exp(log_val)
 
 
 # ---------------------------------------------------------------------------

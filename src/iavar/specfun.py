@@ -24,7 +24,6 @@ from .errors import (
     DomainError,
     MaxTermsExceededError,
     OutOfRegionError,
-    PoleInTermError,
 )
 
 __all__ = [
@@ -32,12 +31,10 @@ __all__ = [
     "SeriesValue",
     "F4Params",
     "ZeroBalanced4F3",
-    "pochhammer",
     "digamma",
     "binomial",
     "appell_f4",
     "appell_f2",
-    "hyp3f2_terminating",
     "hyp4f3_series",
     "f4_equal_args_reduction",
 ]
@@ -106,20 +103,6 @@ class ZeroBalanced4F3:
         return (self.b1, self.b2, self.b3)
 
 
-def pochhammer(w: float, n: int) -> float:
-    """Rising factorial w (w+1) ... (w+n-1), with the empty product 1.
-
-    Overflow saturates to ``inf`` (IEEE semantics); large-index needs are
-    served by term ratios elsewhere, never by raw products.
-    """
-    if n < 0:
-        raise DomainError("pochhammer order must be nonnegative")
-    result = 1.0
-    for i in range(n):
-        result *= w + i
-    return result
-
-
 def digamma(x: float) -> float:
     """Digamma function for positive real arguments.
 
@@ -158,35 +141,6 @@ def binomial(n: int, k: int) -> float:
     return float(math.comb(n, k))
 
 
-def hyp3f2_terminating(a1: float, a2: float, k: int, b1: float, b2: float) -> float:
-    """Terminating 3F2 at unit argument with upper parameter ``-k``.
-
-    Compensated (Neumaier) summation: the ``(-k)_m`` factor alternates in
-    sign and the cancellation grows with ``k``.
-    """
-    if k < 0:
-        raise DomainError("termination order k must be nonnegative")
-    term = 1.0
-    total = 1.0
-    comp = 0.0
-    for m in range(k):
-        den = (b1 + m) * (b2 + m)
-        if den == 0.0:
-            raise PoleInTermError(
-                f"lower parameter hits a nonpositive integer at m={m + 1} (k={k})"
-            )
-        term *= (a1 + m) * (a2 + m) * (m - k) / (den * (m + 1))
-        if term == 0.0:
-            break
-        t = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t) + term
-        else:
-            comp += (term - t) + total
-        total = t
-    return total + comp
-
-
 # ---------------------------------------------------------------------------
 # Double-series engine
 # ---------------------------------------------------------------------------
@@ -195,7 +149,8 @@ _lg = math.lgamma
 
 
 def _sweep(
-    ratio_fn,
+    ratio,
+    n: int,
     v_start: float,
     j_start: int,
     j_last: int,
@@ -203,10 +158,10 @@ def _sweep(
     cutoff_rel: float,
     width_hint: int = 32,
 ):
-    """Sum unimodal positive terms from an anchor outward.
+    """Sum unimodal positive terms of diagonal ``n`` from an anchor outward.
 
-    ``ratio_fn(js)`` returns the multiplicative step from index ``j`` to
-    ``j + step`` for each j in the integer array ``js``.  The sweep stops
+    ``ratio(n, js)`` returns the multiplicative step from index ``j`` to
+    ``j + step`` for each j in the float array ``js``.  The sweep stops
     once past the running maximum and below ``cutoff_rel`` times it.
     Returns (sum incl. anchor, terms counted incl. anchor, running max).
     """
@@ -221,7 +176,7 @@ def _sweep(
     while j != j_last:
         m = min(width, abs(j_last - j))
         js = np.arange(j, j + step * m, step, dtype=np.float64)
-        vals = carry * np.cumprod(ratio_fn(js))
+        vals = carry * np.cumprod(ratio(n, js))
         peak = int(np.argmax(vals))
         cm = max(vmax, float(vals[peak]))
         cut = cm * cutoff_rel
@@ -243,44 +198,112 @@ def _sweep(
     return total, count, vmax
 
 
-def _f4_log_term(alpha, beta, g1, g2, lnx, lny, n, j):
-    return (
-        _lg(alpha + n)
-        - _lg(alpha)
-        + _lg(beta + n)
-        - _lg(beta)
-        + j * lnx
-        + (n - j) * lny
-        - (_lg(g1 + j) - _lg(g1))
-        - (_lg(g2 + n - j) - _lg(g2))
-        - _lg(j + 1.0)
-        - _lg(n - j + 1.0)
-    )
+@dataclass
+class _F4Terms:
+    """Terms ``(alpha)_n (beta)_n x^j y^k / ((g1)_j (g2)_k j! k!)``, k = n - j.
+
+    ``log_term`` anchors a diagonal; ``right`` and ``left`` are the
+    ratios that step ``j`` up or down by one along diagonal ``n``.
+    """
+
+    alpha: float
+    beta: float
+    g1: float
+    g2: float
+    x: float
+    y: float
+
+    def __post_init__(self) -> None:
+        self.lnx, self.lny = math.log(self.x), math.log(self.y)
+
+    def log_term(self, n: float, j: float) -> float:
+        alpha, beta, g1, g2 = self.alpha, self.beta, self.g1, self.g2
+        return (
+            _lg(alpha + n)
+            - _lg(alpha)
+            + _lg(beta + n)
+            - _lg(beta)
+            + j * self.lnx
+            + (n - j) * self.lny
+            - (_lg(g1 + j) - _lg(g1))
+            - (_lg(g2 + n - j) - _lg(g2))
+            - _lg(j + 1.0)
+            - _lg(n - j + 1.0)
+        )
+
+    def right(self, n, js):
+        g1, g2 = self.g1, self.g2
+        return self.x * (n - js) * (g2 + n - js - 1.0) / (self.y * (js + 1.0) * (g1 + js))
+
+    def left(self, n, js):
+        g1, g2 = self.g1, self.g2
+        return self.y * js * (g1 + js - 1.0) / (self.x * (n - js + 1.0) * (g2 + n - js))
 
 
-def _f2_log_term(alpha, b1, b2, g1, g2, lnx, lny, n, j):
-    return (
-        _lg(alpha + n)
-        - _lg(alpha)
-        + (_lg(b1 + j) - _lg(b1))
-        + (_lg(b2 + n - j) - _lg(b2))
-        + j * lnx
-        + (n - j) * lny
-        - (_lg(g1 + j) - _lg(g1))
-        - (_lg(g2 + n - j) - _lg(g2))
-        - _lg(j + 1.0)
-        - _lg(n - j + 1.0)
-    )
+@dataclass
+class _F2Terms:
+    """Terms ``(alpha)_n (b1)_j (b2)_k x^j y^k / ((g1)_j (g2)_k j! k!)``, k = n - j.
+
+    Same interface as :class:`_F4Terms`.
+    """
+
+    alpha: float
+    b1: float
+    b2: float
+    g1: float
+    g2: float
+    x: float
+    y: float
+
+    def __post_init__(self) -> None:
+        self.lnx, self.lny = math.log(self.x), math.log(self.y)
+
+    def log_term(self, n: float, j: float) -> float:
+        alpha, b1, b2, g1, g2 = self.alpha, self.b1, self.b2, self.g1, self.g2
+        return (
+            _lg(alpha + n)
+            - _lg(alpha)
+            + (_lg(b1 + j) - _lg(b1))
+            + (_lg(b2 + n - j) - _lg(b2))
+            + j * self.lnx
+            + (n - j) * self.lny
+            - (_lg(g1 + j) - _lg(g1))
+            - (_lg(g2 + n - j) - _lg(g2))
+            - _lg(j + 1.0)
+            - _lg(n - j + 1.0)
+        )
+
+    def right(self, n, js):
+        b1, b2, g1, g2 = self.b1, self.b2, self.g1, self.g2
+        return (
+            self.x
+            * (b1 + js)
+            * (n - js)
+            * (g2 + n - js - 1.0)
+            / (self.y * (b2 + n - js - 1.0) * (g1 + js) * (js + 1.0))
+        )
+
+    def left(self, n, js):
+        b1, b2, g1, g2 = self.b1, self.b2, self.g1, self.g2
+        return (
+            self.y
+            * (b2 + n - js)
+            * js
+            * (g1 + js - 1.0)
+            / (self.x * (b1 + js - 1.0) * (g2 + n - js) * (n - js + 1.0))
+        )
 
 
-def _gauss_2f1_series(a: float, b: float, c: float, z: float, rel_tol: float, max_terms: int):
+def _gauss_2f1_series(
+    a: float, b: float, c: float, z: float, rel_tol: float, max_terms: int
+) -> SeriesValue:
     """Single-variable Gauss series by vectorized term-ratio blocks."""
     total = 1.0
     term = 1.0
     n = 0
     nterms = 1
     if z == 0.0 or a == 0.0 or b == 0.0:
-        return total, nterms, 0.0, True
+        return SeriesValue(total, nterms, 0.0, True)
     block = 256
     while True:
         ns = np.arange(n, n + block, dtype=np.float64)
@@ -293,7 +316,7 @@ def _gauss_2f1_series(a: float, b: float, c: float, z: float, rel_tol: float, ma
         r = min(abs(float(ratios[-1])), _RATIO_CLAMP)
         tail = abs(term) / (1.0 - r)
         if abs(term) == 0.0 or tail <= rel_tol * max(1.0, abs(total)):
-            return total, nterms, tail, True
+            return SeriesValue(total, nterms, tail, True)
         if nterms > max_terms:
             raise MaxTermsExceededError(
                 f"Gauss series: {nterms} terms, tail estimate {tail:.3e}"
@@ -301,92 +324,14 @@ def _gauss_2f1_series(a: float, b: float, c: float, z: float, rel_tol: float, ma
         block = min(block * 2, 8192)
 
 
-def _double_series(kind, params, x, y, rel_tol, max_terms):
-    """Anti-diagonal summation shared by the F4 and F2 series.
+def _double_series(terms: _F4Terms | _F2Terms, rel_tol: float, max_terms: int) -> SeriesValue:
+    """Anti-diagonal summation of a double series with positive terms.
 
-    ``kind`` selects the term-ratio family; all parameters must be
-    positive and x, y nonnegative so that every term is nonnegative.
+    ``terms`` needs x, y > 0 and positive parameters, so that every term
+    is positive and each diagonal is unimodal in ``j``.
     """
-    if kind == "f4":
-        alpha, beta, g1, g2 = params
-        if math.sqrt(x) + math.sqrt(y) >= 1.0:
-            raise OutOfRegionError(
-                f"F4 series requires sqrt(x) + sqrt(y) < 1, got x={x}, y={y}"
-            )
-        if min(alpha, beta) <= 0.0:
-            raise DomainError("F4 evaluation implemented for positive alpha, beta")
-    else:
-        alpha, b1, b2, g1, g2 = params
-        if x + y >= 1.0:
-            raise OutOfRegionError(f"F2 series requires |x| + |y| < 1, got x={x}, y={y}")
-        if min(alpha, b1, b2) <= 0.0:
-            raise DomainError("F2 evaluation implemented for positive parameters")
-    if x < 0.0 or y < 0.0:
-        raise DomainError("x and y must be nonnegative")
-
-    # Degenerate columns collapse to a single-variable Gauss series.
-    if x == 0.0 and y == 0.0:
-        return SeriesValue(1.0, 1, 0.0, True)
-    if y == 0.0 or x == 0.0:
-        z = x if y == 0.0 else y
-        if kind == "f4":
-            a_, b_, c_ = alpha, beta, (g1 if y == 0.0 else g2)
-        else:
-            a_, b_, c_ = (alpha, b1, g1) if y == 0.0 else (alpha, b2, g2)
-        total, nterms, tail, ok = _gauss_2f1_series(a_, b_, c_, z, rel_tol, max_terms)
-        return SeriesValue(total, nterms, tail, ok)
-
-    lnx = math.log(x)
-    lny = math.log(y)
-    px = math.sqrt(x) / (math.sqrt(x) + math.sqrt(y))
+    px = math.sqrt(terms.x) / (math.sqrt(terms.x) + math.sqrt(terms.y))
     cutoff = max(1e-18, rel_tol * 1e-4)
-
-    if kind == "f4":
-
-        def right_ratio(n):
-            def fn(js):
-                return x * (n - js) * (g2 + n - js - 1.0) / (y * (js + 1.0) * (g1 + js))
-
-            return fn
-
-        def left_ratio(n):
-            def fn(js):
-                return y * js * (g1 + js - 1.0) / (x * (n - js + 1.0) * (g2 + n - js))
-
-            return fn
-
-        def log_term(n, j):
-            return _f4_log_term(alpha, beta, g1, g2, lnx, lny, n, j)
-
-    else:
-
-        def right_ratio(n):
-            def fn(js):
-                return (
-                    x
-                    * (b1 + js)
-                    * (n - js)
-                    * (g2 + n - js - 1.0)
-                    / (y * (b2 + n - js - 1.0) * (g1 + js) * (js + 1.0))
-                )
-
-            return fn
-
-        def left_ratio(n):
-            def fn(js):
-                return (
-                    y
-                    * (b2 + n - js)
-                    * js
-                    * (g1 + js - 1.0)
-                    / (x * (b1 + js - 1.0) * (g2 + n - js) * (n - js + 1.0))
-                )
-
-            return fn
-
-        def log_term(n, j):
-            return _f2_log_term(alpha, b1, b2, g1, g2, lnx, lny, n, j)
-
     total = 0.0
     nterms = 0
     d_prev = math.inf
@@ -396,23 +341,19 @@ def _double_series(kind, params, x, y, rel_tol, max_terms):
     lwidth = 32
     while True:
         jstar = min(n, max(0, int(round(px * n))))
-        anchor = math.exp(log_term(float(n), float(jstar)))
+        anchor = math.exp(terms.log_term(float(n), float(jstar)))
         if n == 0:
             diag = anchor
             nterms += 1
         elif n <= 4:
-            vals = [math.exp(log_term(float(n), float(j))) for j in range(n + 1)]
+            vals = [math.exp(terms.log_term(float(n), float(j))) for j in range(n + 1)]
             diag = math.fsum(vals)
             nterms += n + 1
         else:
-            rsum, rcount, _ = _sweep(
-                right_ratio(n), anchor, jstar, n, 1, cutoff, rwidth
-            )
+            rsum, rcount, _ = _sweep(terms.right, n, anchor, jstar, n, 1, cutoff, rwidth)
             if jstar > 0:
-                lstart = anchor * float(left_ratio(n)(np.asarray([float(jstar)]))[0])
-                lsum, lcount, _ = _sweep(
-                    left_ratio(n), lstart, jstar - 1, 0, -1, cutoff, lwidth
-                )
+                lstart = anchor * terms.left(n, float(jstar))
+                lsum, lcount, _ = _sweep(terms.left, n, lstart, jstar - 1, 0, -1, cutoff, lwidth)
             else:
                 lsum, lcount = 0.0, 0
             diag = rsum + lsum
@@ -443,9 +384,18 @@ def _double_series(kind, params, x, y, rel_tol, max_terms):
 def appell_f4(p: F4Params, cfg: EvalConfig | None = None) -> SeriesValue:
     """Fourth-kind Appell double series inside sqrt(x) + sqrt(y) < 1."""
     cfg = cfg or DEFAULT_CONFIG
-    return _double_series(
-        "f4", (p.alpha, p.beta, p.gamma1, p.gamma2), p.x, p.y, cfg.rel_tol, cfg.max_terms
-    )
+    if math.sqrt(p.x) + math.sqrt(p.y) >= 1.0:
+        raise OutOfRegionError(
+            f"F4 series requires sqrt(x) + sqrt(y) < 1, got x={p.x}, y={p.y}"
+        )
+    if min(p.alpha, p.beta) <= 0.0:
+        raise DomainError("F4 evaluation implemented for positive alpha, beta")
+    if p.x == 0.0 or p.y == 0.0:
+        # One zero argument leaves a Gauss series in the other (both: 1).
+        c = p.gamma1 if p.y == 0.0 else p.gamma2
+        return _gauss_2f1_series(p.alpha, p.beta, c, p.x + p.y, cfg.rel_tol, cfg.max_terms)
+    terms = _F4Terms(p.alpha, p.beta, p.gamma1, p.gamma2, p.x, p.y)
+    return _double_series(terms, cfg.rel_tol, cfg.max_terms)
 
 
 def appell_f2(
@@ -462,9 +412,18 @@ def appell_f2(
     cfg = cfg or DEFAULT_CONFIG
     if not (gamma1 > 0.0 and gamma2 > 0.0):
         raise DomainError("gamma1 and gamma2 must be positive")
-    return _double_series(
-        "f2", (alpha, beta1, beta2, gamma1, gamma2), x, y, cfg.rel_tol, cfg.max_terms
-    )
+    if x + y >= 1.0:
+        raise OutOfRegionError(f"F2 series requires |x| + |y| < 1, got x={x}, y={y}")
+    if min(alpha, beta1, beta2) <= 0.0:
+        raise DomainError("F2 evaluation implemented for positive parameters")
+    if x < 0.0 or y < 0.0:
+        raise DomainError("x and y must be nonnegative")
+    if x == 0.0 or y == 0.0:
+        # One zero argument leaves a Gauss series in the other (both: 1).
+        b, c = (beta1, gamma1) if y == 0.0 else (beta2, gamma2)
+        return _gauss_2f1_series(alpha, b, c, x + y, cfg.rel_tol, cfg.max_terms)
+    terms = _F2Terms(alpha, beta1, beta2, gamma1, gamma2, x, y)
+    return _double_series(terms, cfg.rel_tol, cfg.max_terms)
 
 
 def _hyp4f3_raw(

@@ -53,7 +53,6 @@ __all__ = [
     "Method",
     "Lag",
     "CoeffPair",
-    "SymmetricExpansionTerms",
     "VariogramResult",
     "i_st",
     "variogram_exact",
@@ -75,6 +74,12 @@ EPS_EDGE = 1e-9
 # The symmetric closed form applies only at the quarter point to
 # machine precision.
 EPS_SYM = 1e-14
+# Interior offsets of the boundary path, largest first.  Four points
+# let the extrapolation model carry the next-order remainder term.
+_THETA_SCHEDULE = (8e-3, 4e-3, 2e-3, 1e-3)
+# Exactly computed leading terms of the expansion-constant series
+# before the half-power tail elimination takes over.
+_BSERIES_KMAX = 192
 
 
 class Regime(Enum):
@@ -108,31 +113,33 @@ class Lag:
 
 @dataclass(frozen=True)
 class CoeffPair:
-    """Autoregression coefficients with their regime classification."""
+    """Admissible autoregression coefficients, |a| + |b| <= 1/2.
+
+    The regime is derived from (a, b), so it cannot disagree with them;
+    an inadmissible pair raises :class:`OutOfRegionError`.
+    """
 
     a: float
     b: float
-    regime: Regime
+
+    def __post_init__(self) -> None:
+        total = abs(self.a) + abs(self.b)
+        if not total <= 0.5 + EPS_EDGE:
+            raise OutOfRegionError(f"|a| + |b| = {total} exceeds 1/2")
 
     @classmethod
     def from_ab(cls, a: float, b: float) -> "CoeffPair":
-        total = abs(a) + abs(b)
-        if total > 0.5 + EPS_EDGE:
-            raise OutOfRegionError(f"|a| + |b| = {total} exceeds 1/2")
-        if abs(a - 0.25) <= EPS_SYM and abs(b - 0.25) <= EPS_SYM:
-            return cls(a, b, Regime.SYMMETRIC_QUARTER)
-        if abs(total - 0.5) <= EPS_EDGE:
-            return cls(a, b, Regime.EDGE)
-        return cls(a, b, Regime.INTERIOR)
+        """Same as ``CoeffPair(a, b)``."""
+        return cls(a, b)
 
-
-@dataclass(frozen=True)
-class SymmetricExpansionTerms:
-    """Constituents of the near-unit expansion for one lag family."""
-
-    gamma_st: float
-    l_st: float
-    b_st: float
+    @property
+    def regime(self) -> Regime:
+        """The evaluation regime of (a, b), within ``EPS_SYM`` and ``EPS_EDGE``."""
+        if abs(self.a - 0.25) <= EPS_SYM and abs(self.b - 0.25) <= EPS_SYM:
+            return Regime.SYMMETRIC_QUARTER
+        if abs(abs(self.a) + abs(self.b) - 0.5) <= EPS_EDGE:
+            return Regime.EDGE
+        return Regime.INTERIOR
 
 
 @dataclass(frozen=True)
@@ -219,13 +226,13 @@ def _cached_f4(alpha, beta, g1, g2, x, y, rel_tol, max_terms) -> SeriesValue:
 def variogram_edge(a: float, lag: Lag, cfg: EvalConfig | None = None) -> VariogramResult:
     """Boundary variogram at (a, 1/2 - a) by Abel-limit extrapolation.
 
-    Evaluates the interior approximation at each theta of the schedule
-    (series arguments shrunk by 1 - theta, second term scaled by
-    ``(1-theta)**((s+t)/2)``) and extrapolates theta -> 0.  The remainder
-    of the approximation is O(theta) + O(theta log theta); with four
-    schedule points the fitted model also removes the next-order
-    ``theta**2 log theta`` term, and the spread against the three-point
-    fit is reported as the extrapolation residual.
+    Evaluates the interior approximation at theta = 8e-3, 4e-3, 2e-3 and
+    1e-3 (series arguments shrunk by 1 - theta, second term scaled by
+    ``(1-theta)**((s+t)/2)``) and extrapolates theta -> 0.
+    The remainder of the approximation is O(theta) + O(theta log theta);
+    the four-point fit also removes the next-order ``theta**2 log theta``
+    term, and its spread against the three-point fit on the smallest
+    offsets is reported as the extrapolation residual.
     """
     cfg = cfg or DEFAULT_CONFIG
     if not (0.0 < a < 0.5):
@@ -235,7 +242,6 @@ def variogram_edge(a: float, lag: Lag, cfg: EvalConfig | None = None) -> Variogr
     b = 0.5 - a
     s, t = lag.s, lag.t
     pref = binomial(s + t, s) * a**s * b**t
-    thetas = sorted(cfg.theta_schedule, reverse=True)[-4:]
     nus: list[float] = []
     tails: list[float] = []
     diagnostics: dict[str, SeriesValue] = {}
@@ -243,7 +249,7 @@ def variogram_edge(a: float, lag: Lag, cfg: EvalConfig | None = None) -> Variogr
     # near the edge the term count scales like 1/theta and the
     # extrapolation residual dominates anyway.
     f4_tol = max(cfg.rel_tol, 1e-9)
-    for theta in thetas:
+    for theta in _THETA_SCHEDULE:
         shrink = 1.0 - theta
         x = 4.0 * a * a * shrink
         y = 4.0 * b * b * shrink
@@ -268,26 +274,17 @@ def variogram_edge(a: float, lag: Lag, cfg: EvalConfig | None = None) -> Variogr
         tails.append(f00.tail_estimate + abs(scale) * fst.tail_estimate)
         diagnostics[f"f00_theta_{theta:g}"] = f00
         diagnostics[f"fst_theta_{theta:g}"] = fst
-    th = np.asarray(thetas)
+    th = np.asarray(_THETA_SCHEDULE)
     nu = np.asarray(nus)
     lth = np.log(th)
     th3 = th[-3:]
     design3 = np.column_stack([np.ones_like(th3), th3, th3 * np.log(th3)])
     nu0_three = float(np.linalg.solve(design3, nu[-3:])[0])
-    if len(thetas) >= 4:
-        design = np.column_stack([np.ones_like(th), th, th * lth, th * th * lth])
-        nu0 = float(np.linalg.solve(design, nu)[0])
-        weights = np.linalg.solve(design.T, np.eye(len(thetas))[0])
-        series_err = float(np.abs(weights) @ np.asarray(tails))
-        est = 3.0 * abs(nu0 - nu0_three) + 10.0 * series_err + 1e-14
-    else:
-        nu0 = nu0_three
-        weights = np.linalg.solve(design3.T, np.eye(3)[0])
-        th2 = th[-2:]
-        design2 = np.column_stack([np.ones_like(th2), th2 * np.log(th2)])
-        nu0_two = float(np.linalg.solve(design2, nu[-2:])[0])
-        series_err = float(np.abs(weights) @ np.asarray(tails[-3:]))
-        est = 3.0 * abs(nu0 - nu0_two) + 10.0 * series_err + 1e-14
+    design = np.column_stack([np.ones_like(th), th, th * lth, th * th * lth])
+    nu0 = float(np.linalg.solve(design, nu)[0])
+    weights = np.linalg.solve(design.T, np.eye(len(th))[0])
+    series_err = float(np.abs(weights) @ np.asarray(tails))
+    est = 3.0 * abs(nu0 - nu0_three) + 10.0 * series_err + 1e-14
     value = _finalize_value(nu0, est)
     return VariogramResult(value, Method.EDGE_ABEL, est, diagnostics)
 
@@ -420,14 +417,15 @@ def _half_power_limit(partials: list, order: int) -> tuple[float, float]:
 
 
 def _b_series_eval(s: int, t: int, cfg: EvalConfig, transformed: bool) -> SeriesValue:
-    kmax = cfg.bseries_kmax
-    if kmax > cfg.max_terms:
-        raise MaxTermsExceededError("bseries_kmax exceeds the term cap")
+    if _BSERIES_KMAX > cfg.max_terms:
+        raise MaxTermsExceededError(
+            f"the expansion-constant series needs {_BSERIES_KMAX} terms, over the cap"
+        )
     with mp.workdps(60):
-        partials = _b_series_partials(s, t, kmax, transformed)
+        partials = _b_series_partials(s, t, _BSERIES_KMAX, transformed)
         value, err = _half_power_limit(partials, order=14)
     converged = err <= cfg.rel_tol * max(1.0, abs(value))
-    return SeriesValue(value, kmax, err, converged)
+    return SeriesValue(value, _BSERIES_KMAX, err, converged)
 
 
 def b_st(lag: Lag, cfg: EvalConfig | None = None) -> SeriesValue:
@@ -464,11 +462,6 @@ def zero_balanced_4f3_near_unit(lag: Lag, theta: float, cfg: EvalConfig | None =
         raise DomainError("theta must lie in (0, 1)")
     b = b_st(lag, cfg)
     return (l_st(lag) + b.value - math.log(theta)) / gamma_st(lag)
-
-
-def symmetric_expansion_terms(lag: Lag, cfg: EvalConfig | None = None) -> SymmetricExpansionTerms:
-    """All three near-unit constituents of one lag family."""
-    return SymmetricExpansionTerms(gamma_st(lag), l_st(lag), b_st(lag, cfg).value)
 
 
 # ---------------------------------------------------------------------------
@@ -520,9 +513,6 @@ def variogram_diagonal(s: int) -> float:
 def variogram(c: CoeffPair, lag: Lag, cfg: EvalConfig | None = None) -> VariogramResult:
     """Evaluate the variogram with the method matching the regime."""
     cfg = cfg or DEFAULT_CONFIG
-    total = abs(c.a) + abs(c.b)
-    if total > 0.5 + EPS_EDGE:
-        raise OutOfRegionError(f"|a| + |b| = {total} exceeds 1/2")
     if c.regime is Regime.SYMMETRIC_QUARTER:
         if lag.s == lag.t:
             value = variogram_diagonal(lag.s)

@@ -8,10 +8,10 @@ import scipy.special
 from iavar.errors import DomainError, OutOfRegionError
 from iavar.oracle import (
     QuadratureSettings,
+    _ive_vec,
     _quadrature_variogram_impl,
     bessel_laplace_i_st,
     bessel_laplace_variogram,
-    modified_bessel_i,
     quadrature_variogram,
 )
 from iavar.variogram import CoeffPair, Lag
@@ -22,35 +22,31 @@ class TestSettings:
         with pytest.raises(DomainError):
             QuadratureSettings(abs_tol=0.0)
         with pytest.raises(DomainError):
-            QuadratureSettings(origin_split_radius=1.0)
+            QuadratureSettings(rel_tol=-1e-8)
+
+
+def ive(n, x):
+    return float(_ive_vec(n, [x])[0])
 
 
 class TestModifiedBessel:
+    # exp(-x) I_n(x), the scaled Bessel factor of the Laplace-route integrands
     def test_at_zero(self):
-        assert modified_bessel_i(0, 0.0) == 1.0
-        assert modified_bessel_i(3, 0.0) == 0.0
+        assert ive(0, 0.0) == 1.0
+        assert ive(3, 0.0) == 0.0
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 9])
     @pytest.mark.parametrize("x", [0.1, 2.5, 30.0, 200.0, 690.0])
     def test_against_scipy(self, n, x):
-        ref = float(scipy.special.iv(n, x))
-        assert modified_bessel_i(n, x) == pytest.approx(ref, rel=1e-12)
+        ref = float(scipy.special.ive(n, x))
+        assert ive(n, x) == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("n", range(1, 11))
     @pytest.mark.parametrize("x", [0.5, 2.0, 10.0, 50.0])
     def test_recurrence(self, n, x):
-        lhs = modified_bessel_i(n - 1, x) - modified_bessel_i(n + 1, x)
-        rhs = 2.0 * n / x * modified_bessel_i(n, x)
+        lhs = ive(n - 1, x) - ive(n + 1, x)
+        rhs = 2.0 * n / x * ive(n, x)
         assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-11)
-
-    def test_saturates(self):
-        assert modified_bessel_i(0, 1200.0) == math.inf
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            modified_bessel_i(-1, 1.0)
-        with pytest.raises(DomainError):
-            modified_bessel_i(1, -1.0)
 
 
 class TestQuadrature:
@@ -63,11 +59,11 @@ class TestQuadrature:
 
     def test_out_of_region(self):
         with pytest.raises(OutOfRegionError):
-            quadrature_variogram(CoeffPair(0.3, 0.3, None), Lag(1, 0))
+            quadrature_variogram(CoeffPair(0.3, 0.3), Lag(1, 0))
 
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
-            quadrature_variogram(CoeffPair(-0.1, 0.2, None), Lag(1, 0))
+            quadrature_variogram(CoeffPair(-0.1, 0.2), Lag(1, 0))
 
     def test_refinement_convergence(self, rng):
         # halving tolerances moves the value by less than the previous

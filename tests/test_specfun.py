@@ -25,10 +25,9 @@ from iavar.specfun import (
     binomial,
     digamma,
     f4_equal_args_reduction,
-    hyp3f2_terminating,
     hyp4f3_series,
-    pochhammer,
 )
+from iavar.variogram import _exact_3f2_int_pair, _exact_3f2_transformed_int_pair
 
 from conftest import (
     exact_3f2_terminating,
@@ -44,32 +43,6 @@ F2_AT_02_03 = 1.3540629392527235
 # Frozen via 300-term direct high-precision summation of the unit-lag
 # zero-balanced family at z = 1/2.
 H4F3_LAG11_HALF = 1.6261663462294002
-
-
-class TestPochhammer:
-    def test_empty_product(self):
-        assert pochhammer(0.7, 0) == 1.0
-
-    def test_factorial(self):
-        assert pochhammer(1.0, 5) == 120.0
-
-    def test_half_integer(self):
-        assert pochhammer(0.5, 3) == pytest.approx(15.0 / 8.0, rel=1e-15)
-
-    def test_negative_order_rejected(self):
-        with pytest.raises(DomainError):
-            pochhammer(1.0, -1)
-
-    @given(
-        w=st.floats(min_value=0.1, max_value=8.0),
-        m=st.integers(min_value=0, max_value=30),
-        n=st.integers(min_value=0, max_value=30),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_split_identity(self, w, m, n):
-        lhs = pochhammer(w, m + n)
-        rhs = pochhammer(w, m) * pochhammer(w + m, n)
-        assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
 class TestDigamma:
@@ -115,45 +88,40 @@ class TestBinomial:
 
 
 class TestHyp3F2Terminating:
+    # The B series' terminating 3F2 has uppers (s+t)/2, (s+t+1)/2, -k and
+    # lowers s+1/2, t+1/2; it is summed as one exact integer fraction.
+    @staticmethod
+    def _exact(s, t, k):
+        return Fraction(*_exact_3f2_int_pair(s, t, k))
+
     def test_k_zero(self):
-        assert hyp3f2_terminating(0.7, 1.3, 0, 2.0, 3.0) == 1.0
+        assert self._exact(2, 3, 0) == 1
 
     def test_zero_numerator(self):
-        assert hyp3f2_terminating(0.0, 1.3, 7, 2.0, 3.0) == 1.0
+        # s = t = 0 puts a zero upper parameter in the first term ratio
+        assert self._exact(0, 0, 7) == 1
 
     def test_known_rational(self):
         want = exact_3f2_terminating(1, Fraction(1, 2), 3, Fraction(3, 2), Fraction(1, 2))
         assert want == Fraction(1, 7)
-        got = hyp3f2_terminating(1.0, 0.5, 3, 1.5, 0.5)
-        assert got == pytest.approx(float(want), rel=1e-14)
+        assert self._exact(1, 0, 3) == want
 
     @pytest.mark.parametrize("k", [1, 5, 12, 25, 40])
     def test_against_exact_rational(self, k):
-        # The alternating (-k)_m factor makes the term magnitudes grow
-        # like 2**k while the sum stays O(1), so the attainable float64
-        # accuracy is limited by the largest term, not by the sum.  The
-        # compensated sum must stay within a small multiple of that floor.
-        cases = [
-            (Fraction(3, 2), Fraction(5, 2), Fraction(1, 2), Fraction(7, 2)),
-            (Fraction(2), Fraction(5, 2), Fraction(3, 2), Fraction(9, 2)),
-            (Fraction(1, 2), Fraction(1), Fraction(5, 2), Fraction(3, 2)),
-        ]
-        eps = 2.22e-16
-        for a1, a2, b1, b2 in cases:
-            want = float(exact_3f2_terminating(a1, a2, k, b1, b2))
-            got = hyp3f2_terminating(float(a1), float(a2), k, float(b1), float(b2))
-            term = Fraction(1)
-            max_term = 1.0
-            for m in range(k):
-                term *= (a1 + m) * (a2 + m) * (m - k)
-                term /= (b1 + m) * (b2 + m) * (m + 1)
-                max_term = max(max_term, abs(float(term)))
-            budget = 64.0 * eps * k * max_term + 1e-13
-            assert abs(got - want) <= budget, (k, got, want, budget)
+        # The alternating (-k)_m factor cancels catastrophically in
+        # floating point; the integer-fraction sum must be exact.
+        for s, t in [(1, 0), (2, 2), (0, 3), (5, 1), (7, 4)]:
+            want = exact_3f2_terminating(
+                Fraction(s + t, 2), Fraction(s + t + 1, 2), k,
+                Fraction(2 * s + 1, 2), Fraction(2 * t + 1, 2),
+            )
+            assert self._exact(s, t, k) == want, (s, t, k)
 
     def test_pole(self):
+        # transformed series: lower parameter (s-t+1)/2 - k hits 0 at
+        # s - t = 1, k = 1
         with pytest.raises(PoleInTermError):
-            hyp3f2_terminating(0.5, 0.5, 4, -2.0, 1.5)
+            _exact_3f2_transformed_int_pair(2, 1, 1)
 
 
 class TestAppellF4:

@@ -51,6 +51,22 @@ class TestTypes:
     def test_out_of_region(self):
         with pytest.raises(OutOfRegionError):
             CoeffPair.from_ab(0.4, 0.2)
+        with pytest.raises(OutOfRegionError):
+            CoeffPair(math.nan, 0.1)
+
+    def test_regime_derived_from_coefficients(self):
+        # A regime stored beside (a, b) once sent the interior pair
+        # (0.1, 0.1) down the edge path, which returned nu at (0.1, 0.4).
+        with pytest.raises(TypeError):
+            CoeffPair(0.1, 0.1, Regime.EDGE)
+        pair = CoeffPair(0.1, 0.1)
+        with pytest.raises(AttributeError):
+            pair.regime = Regime.EDGE
+        assert pair.regime is Regime.INTERIOR
+        res = variogram(pair, Lag(1, 0))
+        assert res.method is Method.EXACT_F4
+        assert res.value == pytest.approx(quadrature_variogram(pair, Lag(1, 0)), abs=1e-8)
+        assert res.value == pytest.approx(0.9339, abs=1e-4)
 
 
 class TestIst:
@@ -305,9 +321,8 @@ class TestDispatch:
             assert res.value == 0.0
 
     def test_rejects_inadmissible_pair(self):
-        bogus = CoeffPair(0.4, 0.2, Regime.INTERIOR)
         with pytest.raises(OutOfRegionError):
-            variogram(bogus, Lag(1, 0))
+            variogram(CoeffPair(0.4, 0.2), Lag(1, 0))
 
 
 class TestBudgets:
@@ -321,4 +336,4 @@ class TestBudgets:
         with pytest.raises(DomainError):
             EvalConfig(rel_tol=0.0)
         with pytest.raises(DomainError):
-            EvalConfig(theta_schedule=(1e-3, 2e-3, 4e-3))
+            EvalConfig(max_terms=0)
