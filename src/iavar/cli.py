@@ -22,6 +22,7 @@ from .oracle import (
     quadrature_variogram,
 )
 from .variogram import (
+    EPS_EDGE,
     CoeffPair,
     Lag,
     Regime,
@@ -96,7 +97,7 @@ def _eval_one(a, b, lag, method, cfg, quad_settings) -> OutputRecord:
     elif method == "exact":
         res = variogram_exact(CoeffPair.from_ab(a, b), lag, cfg)
     elif method == "edge":
-        if abs(a + b - 0.5) > 1e-9:
+        if abs(a + b - 0.5) > EPS_EDGE:
             raise DomainError("--method edge requires a + b = 1/2")
         res = variogram_edge(a, lag, cfg)
     elif method == "symmetric":

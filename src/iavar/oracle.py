@@ -81,8 +81,6 @@ def _quadrature_variogram_impl(
     a, b = c.a, c.b
     if a < 0.0 or b < 0.0:
         raise DomainError("quadrature oracle requires a, b >= 0")
-    if a + b > 0.5 + 1e-12:
-        raise OutOfRegionError(f"a + b = {a + b} exceeds 1/2")
     s, t = lag.s, lag.t
     if s == 0 and t == 0:
         return 0.0, 0.0
@@ -317,8 +315,6 @@ def bessel_laplace_variogram(c: CoeffPair, lag: Lag, q: QuadratureSettings | Non
     a, b = c.a, c.b
     if a < 0.0 or b < 0.0:
         raise DomainError("difference form implemented for a, b >= 0")
-    if a + b > 0.5 + 1e-12:
-        raise OutOfRegionError(f"a + b = {a + b} exceeds 1/2")
     s, t = lag.s, lag.t
     if s == 0 and t == 0:
         return 0.0

@@ -5,11 +5,18 @@ series (fourth- and second-kind Appell functions) are summed along
 anti-diagonals ``j + k = n``: the shared rising factorials along a
 diagonal give a single-index stopping rule, and successive terms are
 built from closed-form term ratios so magnitudes stay O(1) even when
-thousands of diagonals are needed.  Each diagonal is anchored at its
-(analytically estimated) peak through log-gamma, then swept outward
-until terms fall below a relative cutoff, which keeps the work per
-diagonal proportional to the effective support of the terms rather
-than the diagonal length.
+thousands of diagonals are needed.
+
+Diagonals are computed in blocks of consecutive ``n``, one 2-D NumPy
+array per side of the peak.  Each diagonal is anchored at its
+(analytically estimated) peak through log-gamma; the terms on either
+side are cumulative products of the term ratios over a window of
+columns that the block shares.  A window whose outermost term is not yet
+below a relative cutoff is doubled and recomputed, so no diagonal is cut
+inside its support.  A window array holds at most ``_BLOCK_ELEMENTS``
+entries unless one diagonal's window alone is wider, which bounds memory,
+and the work is proportional to the effective support of the terms
+rather than the diagonal length.
 """
 
 from __future__ import annotations
@@ -43,6 +50,10 @@ EULER_GAMMA = 0.57721566490153286061
 
 # Ratio clamp for the geometric tail model: tail ~ last_term / (1 - r).
 _RATIO_CLAMP = 0.999
+# Entries of one window array (rows x columns) of the double-series engine.
+_BLOCK_ELEMENTS = 8192
+# Fewest rows of a block, and narrowest window.
+_MIN_ROWS = 4
 
 
 @dataclass(frozen=True)
@@ -148,54 +159,23 @@ def binomial(n: int, k: int) -> float:
 _lg = math.lgamma
 
 
-def _sweep(
-    ratio,
-    n: int,
-    v_start: float,
-    j_start: int,
-    j_last: int,
-    step: int,
-    cutoff_rel: float,
-    width_hint: int = 32,
-):
-    """Sum unimodal positive terms of diagonal ``n`` from an anchor outward.
+def _window(ratio, ns: np.ndarray, jstar: np.ndarray, width: int, step: int) -> np.ndarray:
+    """Terms at ``j = jstar + step * i`` (i = 1..width) over the term at ``jstar``.
 
-    ``ratio(n, js)`` returns the multiplicative step from index ``j`` to
-    ``j + step`` for each j in the float array ``js``.  The sweep stops
-    once past the running maximum and below ``cutoff_rel`` times it.
-    Returns (sum incl. anchor, terms counted incl. anchor, running max).
+    One row per diagonal in ``ns``.  ``ratio(n, js)`` steps the term at
+    ``js`` to ``js + step``; it is evaluated only at indices whose target
+    lies in ``0 <= j <= n`` (the rest are clipped to a valid index, then
+    zeroed), so no division by a vanishing factor happens.
     """
-    total = v_start
-    vmax = v_start
-    count = 1
-    if v_start == 0.0 or j_start == j_last:
-        return total, count, vmax
-    carry = v_start
-    j = j_start
-    width = max(8, min(width_hint, 4096))
-    while j != j_last:
-        m = min(width, abs(j_last - j))
-        js = np.arange(j, j + step * m, step, dtype=np.float64)
-        vals = carry * np.cumprod(ratio(n, js))
-        peak = int(np.argmax(vals))
-        cm = max(vmax, float(vals[peak]))
-        cut = cm * cutoff_rel
-        below = np.nonzero(vals[peak:] < cut)[0]
-        if below.size:
-            stop = peak + int(below[0]) + 1
-            total += float(vals[:stop].sum())
-            count += stop
-            vmax = cm
-            break
-        total += float(vals.sum())
-        count += m
-        vmax = cm
-        carry = float(vals[-1])
-        j += step * m
-        if carry == 0.0:
-            break
-        width = min(width * 2, 4096)
-    return total, count, vmax
+    n = ns[:, None]
+    js = jstar[:, None] + step * np.arange(width, dtype=np.float64)
+    if step > 0:
+        inside = js < n
+        js = np.minimum(js, n - 1.0)
+    else:
+        inside = js > 0.0
+        js = np.maximum(js, 1.0)
+    return np.multiply.accumulate(np.where(inside, ratio(n, js), 0.0), axis=1)
 
 
 @dataclass
@@ -204,6 +184,8 @@ class _F4Terms:
 
     ``log_term`` anchors a diagonal; ``right`` and ``left`` are the
     ratios that step ``j`` up or down by one along diagonal ``n``.
+    ``rho`` is the limit of the ratio of successive diagonal sums, the
+    reciprocal of the radius of convergence along the ray (x, y).
     """
 
     alpha: float
@@ -215,20 +197,21 @@ class _F4Terms:
 
     def __post_init__(self) -> None:
         self.lnx, self.lny = math.log(self.x), math.log(self.y)
+        self.rho = (math.sqrt(self.x) + math.sqrt(self.y)) ** 2
+        self.lg0 = _lg(self.g1) + _lg(self.g2) - _lg(self.alpha) - _lg(self.beta)
 
     def log_term(self, n: float, j: float) -> float:
-        alpha, beta, g1, g2 = self.alpha, self.beta, self.g1, self.g2
+        k = n - j
         return (
-            _lg(alpha + n)
-            - _lg(alpha)
-            + _lg(beta + n)
-            - _lg(beta)
+            self.lg0
+            + _lg(self.alpha + n)
+            + _lg(self.beta + n)
             + j * self.lnx
-            + (n - j) * self.lny
-            - (_lg(g1 + j) - _lg(g1))
-            - (_lg(g2 + n - j) - _lg(g2))
+            + k * self.lny
+            - _lg(self.g1 + j)
+            - _lg(self.g2 + k)
             - _lg(j + 1.0)
-            - _lg(n - j + 1.0)
+            - _lg(k + 1.0)
         )
 
     def right(self, n, js):
@@ -257,20 +240,24 @@ class _F2Terms:
 
     def __post_init__(self) -> None:
         self.lnx, self.lny = math.log(self.x), math.log(self.y)
+        self.rho = self.x + self.y
+        self.lg0 = (
+            _lg(self.g1) + _lg(self.g2) - _lg(self.alpha) - _lg(self.b1) - _lg(self.b2)
+        )
 
     def log_term(self, n: float, j: float) -> float:
-        alpha, b1, b2, g1, g2 = self.alpha, self.b1, self.b2, self.g1, self.g2
+        k = n - j
         return (
-            _lg(alpha + n)
-            - _lg(alpha)
-            + (_lg(b1 + j) - _lg(b1))
-            + (_lg(b2 + n - j) - _lg(b2))
+            self.lg0
+            + _lg(self.alpha + n)
+            + _lg(self.b1 + j)
+            + _lg(self.b2 + k)
             + j * self.lnx
-            + (n - j) * self.lny
-            - (_lg(g1 + j) - _lg(g1))
-            - (_lg(g2 + n - j) - _lg(g2))
+            + k * self.lny
+            - _lg(self.g1 + j)
+            - _lg(self.g2 + k)
             - _lg(j + 1.0)
-            - _lg(n - j + 1.0)
+            - _lg(k + 1.0)
         )
 
     def right(self, n, js):
@@ -329,56 +316,92 @@ def _double_series(terms: _F4Terms | _F2Terms, rel_tol: float, max_terms: int) -
 
     ``terms`` needs x, y > 0 and positive parameters, so that every term
     is positive and each diagonal is unimodal in ``j``.
+
+    Diagonals are summed in blocks of consecutive rows ``n``.  Each row is
+    anchored at ``jstar = round(px * n)`` through ``terms.log_term``; the
+    terms right and left of the anchor come from cumulative products of
+    the ``terms.right`` / ``terms.left`` ratios over a window of columns
+    shared by the block.  If some row's outermost window term is still at
+    or above ``cutoff`` times the row's largest term, that side's window
+    is doubled and recomputed, so a row is never cut inside its support.
+    A block has as many rows as fit ``_BLOCK_ELEMENTS`` entries per window
+    array (at least one), and no more than the geometric decay of the
+    diagonal sums predicts to the stopping diagonal, so that few rows are
+    computed past it.
+
+    The stopping rule and the term cap are applied row by row, as for one
+    diagonal at a time: stop once two consecutive diagonals are below
+    ``rel_tol`` times the partial sum and the geometric tail estimate is
+    within tolerance.  The tail's ratio is the ratio of the last two
+    diagonal sums, but never below ``terms.rho``, the limit of that ratio:
+    a ratio still rising towards ``rho`` would make the tail fall short.
+    ``terms_used`` counts, per diagonal, the anchor and the terms at or
+    above ``cutoff`` times the diagonal's largest term.
     """
     px = math.sqrt(terms.x) / (math.sqrt(terms.x) + math.sqrt(terms.y))
     cutoff = max(1e-18, rel_tol * 1e-4)
-    total = 0.0
-    nterms = 0
-    d_prev = math.inf
-    tail = math.inf
-    n = 0
-    rwidth = 32
-    lwidth = 32
+    # Diagonal 0 is the single term 1.
+    total = 1.0
+    nterms = 1
+    d_prev = 1.0
+    n = 1
+    rows = rwidth = lwidth = _MIN_ROWS
     while True:
-        jstar = min(n, max(0, int(round(px * n))))
-        anchor = math.exp(terms.log_term(float(n), float(jstar)))
-        if n == 0:
-            diag = anchor
-            nterms += 1
-        elif n <= 4:
-            vals = [math.exp(terms.log_term(float(n), float(j))) for j in range(n + 1)]
-            diag = math.fsum(vals)
-            nterms += n + 1
-        else:
-            rsum, rcount, _ = _sweep(terms.right, n, anchor, jstar, n, 1, cutoff, rwidth)
-            if jstar > 0:
-                lstart = anchor * terms.left(n, float(jstar))
-                lsum, lcount, _ = _sweep(terms.left, n, lstart, jstar - 1, 0, -1, cutoff, lwidth)
-            else:
-                lsum, lcount = 0.0, 0
-            diag = rsum + lsum
-            nterms += rcount + lcount
-            rwidth = rcount + 8
-            lwidth = lcount + 8
-        total += diag
-        if n >= 1:
-            if diag == 0.0:
-                tail = 0.0
+        while True:
+            rows = max(1, min(rows, _BLOCK_ELEMENTS // max(rwidth, lwidth)))
+            ns = np.arange(n, n + rows, dtype=np.float64)
+            jstar = np.round(px * ns)
+            right = _window(terms.right, ns, jstar, rwidth, 1)
+            left = _window(terms.left, ns, jstar, lwidth, -1)
+            # Windows hold terms over the anchor, so the row maximum is >= 1.
+            cut = cutoff * np.maximum(1.0, np.maximum(right.max(axis=1), left.max(axis=1)))
+            short_r = bool((right[:, -1] >= cut).any())
+            short_l = bool((left[:, -1] >= cut).any())
+            if not (short_r or short_l):
                 break
+            if short_r:
+                rwidth *= 2
+            if short_l:
+                lwidth *= 2
+        anchor = np.array(
+            [math.exp(terms.log_term(m, j)) for m, j in zip(ns.tolist(), jstar.tolist())]
+        )
+        cut = cut[:, None]
+        kept_r = (right >= cut).sum(axis=1)
+        kept_l = (left >= cut).sum(axis=1)
+        diags = anchor * (1.0 + right.sum(axis=1) + left.sum(axis=1))
+        for diag, kept in zip(diags.tolist(), (1 + kept_r + kept_l).tolist()):
+            total += diag
+            nterms += kept
+            if diag == 0.0:
+                return SeriesValue(total, nterms, 0.0, True)
             if diag < rel_tol * total and d_prev < rel_tol * total:
                 r = diag / d_prev if d_prev > 0.0 else 0.0
-                r = min(max(r, 0.0), _RATIO_CLAMP)
+                r = min(max(r, terms.rho), _RATIO_CLAMP)
                 tail = diag / (1.0 - r)
                 if tail <= rel_tol * max(1.0, total):
-                    break
-        if nterms > max_terms:
-            raise MaxTermsExceededError(
-                f"double series: {nterms} terms over {n + 1} diagonals, "
-                f"last contribution {diag:.3e}, partial sum {total:.6e}"
-            )
-        d_prev = diag
-        n += 1
-    return SeriesValue(total, nterms, tail, True)
+                    return SeriesValue(total, nterms, tail, True)
+            if nterms > max_terms:
+                raise MaxTermsExceededError(
+                    f"double series: {nterms} terms over {n + 1} diagonals, "
+                    f"last contribution {diag:.3e}, partial sum {total:.6e}"
+                )
+            d_prev = diag
+            n += 1
+        # Next block: at most as many rows as are done, and no more than the
+        # geometric decay of the diagonal sums predicts to the stopping
+        # diagonal; windows sized to this block's support, grown like the
+        # sqrt(n) width of a diagonal's peak, plus a margin.
+        r = diags[-1] / diags[-2] if rows > 1 else 1.0
+        grow = n
+        if 0.0 < r < 1.0:
+            target = rel_tol * max(1.0, total) * (1.0 - min(max(r, terms.rho), _RATIO_CLAMP))
+            grow = min(grow, math.ceil(math.log(target / d_prev) / math.log(r)) + 1)
+        support_r, support_l = int(kept_r.max()), int(kept_l.max())
+        rows = max(_MIN_ROWS, min(grow, _BLOCK_ELEMENTS // max(1, support_r, support_l)))
+        scale = 1.1 * math.sqrt((n + rows) / n)
+        rwidth = int(scale * support_r) + _MIN_ROWS
+        lwidth = int(scale * support_l) + _MIN_ROWS
 
 
 def appell_f4(p: F4Params, cfg: EvalConfig | None = None) -> SeriesValue:

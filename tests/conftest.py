@@ -5,9 +5,11 @@ over the series definitions at high working precision, and exact
 rational arithmetic for terminating sums.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 
@@ -58,6 +60,61 @@ def naive_f2(alpha, b1, b2, g1, g2, x, y, n_max=300, dps=30):
                 term *= mp.mpf(x) ** j * mp.mpf(y) ** k / (mp.factorial(j) * mp.factorial(k))
                 total += term
         return float(total)
+
+
+def full_triangle_sum(lead, j_factor, k_factor, rho):
+    """Every term of a positive double series, summed diagonal by diagonal.
+
+    The terms satisfy ``c(0, 0) = 1``, ``c(j, k) = c(j-1, k) lead(n)
+    j_factor(j)`` and ``c(j, k) = c(j, k-1) lead(n) k_factor(k)`` with
+    ``n = j + k``.  Diagonal n is built from diagonal n - 1 in full, with no
+    cutoff: stepping in k left of its largest term and in j right of it,
+    so that no term descends from one that underflowed at a diagonal's
+    end.  Each diagonal is summed pairwise by NumPy (``math.fsum`` is slow
+    on terms that span hundreds of decades) and the diagonal sums with
+    ``math.fsum``; summation stops once the geometric bound on the rest,
+    with ratio ``max(rho, last ratio)``, is below 1e-17 times the sum.
+    """
+    n_max = 20_000
+    idx = np.arange(1, n_max + 1, dtype=np.float64)
+    jf, kf = j_factor(idx), k_factor(idx)  # jf[j - 1], kf[k - 1]
+    diag = np.ones(1)
+    sums = [1.0]
+    total = 1.0
+    for n in range(1, n_max):
+        m = int(np.argmax(diag))
+        new = np.empty(n + 1)
+        # j = 0..m step in k (k = n..n-m); j = m+1..n step in j.
+        new[: m + 1] = diag[: m + 1] * kf[n - m - 1 : n][::-1]
+        new[m + 1 :] = diag[m:] * jf[m:n]
+        diag = new * lead(n)
+        d = float(diag.sum())
+        r = max(rho, d / sums[-1])
+        sums.append(d)
+        total += d
+        if r < 1.0 and d * r / (1.0 - r) <= 1e-17 * total:
+            return math.fsum(sums)
+    raise RuntimeError("full_triangle_sum: n_max diagonals were not enough")
+
+
+def full_triangle_f4(alpha, beta, g1, g2, x, y):
+    """Fourth-kind Appell series by :func:`full_triangle_sum`."""
+    return full_triangle_sum(
+        lambda n: (alpha + n - 1) * (beta + n - 1),
+        lambda j: x / ((g1 + j - 1) * j),
+        lambda k: y / ((g2 + k - 1) * k),
+        (math.sqrt(x) + math.sqrt(y)) ** 2,
+    )
+
+
+def full_triangle_f2(alpha, b1, b2, g1, g2, x, y):
+    """Second-kind Appell series by :func:`full_triangle_sum`."""
+    return full_triangle_sum(
+        lambda n: alpha + n - 1,
+        lambda j: (b1 + j - 1) * x / ((g1 + j - 1) * j),
+        lambda k: (b2 + k - 1) * y / ((g2 + k - 1) * k),
+        x + y,
+    )
 
 
 def exact_3f2_terminating(a1, a2, k, b1, b2):

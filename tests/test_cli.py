@@ -163,6 +163,17 @@ class TestVerify:
         assert code == 0
         assert "max discrepancy    0" in out
 
+    def test_boundary_within_edge_tolerance(self, capsys):
+        # a + b exceeds 1/2 by less than EPS_EDGE: every route takes the
+        # pair as a boundary point, the oracles included.
+        args = ["--a", "0.3", "--b", "0.2000000005", "--s", "1", "--t", "0"]
+        code, out, _ = run_cli(capsys, "eval", *args)
+        assert code == 0 and "EdgeAbel" in out
+        code, out, err = run_cli(capsys, "verify", *args, "--tol", "1e-3")
+        assert code == 0, err
+        for name in ("edge-abel", "quad", "bessel-difference"):
+            assert name in out
+
     def test_breach_exits_nonzero(self, capsys):
         code, _, err = run_cli(
             capsys,

@@ -1,6 +1,7 @@
 """Unit tests for the hypergeometric kernel."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -29,8 +30,11 @@ from iavar.specfun import (
 )
 from iavar.variogram import _exact_3f2_int_pair, _exact_3f2_transformed_int_pair
 
+import iavar.specfun as specfun
 from conftest import (
     exact_3f2_terminating,
+    full_triangle_f2,
+    full_triangle_f4,
     gauss_2f1_direct,
     naive_f4,
     naive_f4_diag_partials,
@@ -189,6 +193,114 @@ class TestAppellF4:
     def test_anti_diagonal_partials_nondecreasing(self):
         partials = naive_f4_diag_partials(0.8, 1.3, 1.1, 2.0, 0.09, 0.16)
         assert all(b >= a for a, b in zip(partials, partials[1:]))
+
+
+class TestEngineAgainstFullTriangle:
+    """The block engine against every term of the triangle, with no cutoff.
+
+    The gap is ``1 - (sqrt(x) + sqrt(y))`` for F4 and ``1 - (x + y)`` for
+    F2; a share near 0 or 1 puts the anchors of the early diagonals at
+    ``j = 0`` or ``j = n``.
+    """
+
+    @given(
+        log_gap=st.floats(math.log(0.01), math.log(0.5)),
+        share=st.floats(0.01, 0.99),
+        alpha=st.floats(0.2, 3.0),
+        beta=st.floats(0.2, 3.0),
+        g1=st.floats(0.5, 3.0),
+        g2=st.floats(0.5, 3.0),
+        rel_tol=st.sampled_from([1e-10, 1e-9]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_f4_within_tail_estimate(self, log_gap, share, alpha, beta, g1, g2, rel_tol):
+        r = 1.0 - math.exp(log_gap)
+        x, y = (r * share) ** 2, (r * (1.0 - share)) ** 2
+        got = appell_f4(F4Params(alpha, beta, g1, g2, x, y), EvalConfig(rel_tol=rel_tol))
+        ref = full_triangle_f4(alpha, beta, g1, g2, x, y)
+        assert abs(got.value - ref) <= got.tail_estimate + 1e-14 * ref
+
+    @given(
+        log_gap=st.floats(math.log(0.01), math.log(0.5)),
+        share=st.floats(0.01, 0.99),
+        alpha=st.floats(0.2, 3.0),
+        b1=st.floats(0.2, 3.0),
+        b2=st.floats(0.2, 3.0),
+        g1=st.floats(0.5, 3.0),
+        g2=st.floats(0.5, 3.0),
+        rel_tol=st.sampled_from([1e-10, 1e-9]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_f2_within_tail_estimate(self, log_gap, share, alpha, b1, b2, g1, g2, rel_tol):
+        r = 1.0 - math.exp(log_gap)
+        x, y = r * share, r * (1.0 - share)
+        got = appell_f2(alpha, b1, b2, g1, g2, x, y, EvalConfig(rel_tol=rel_tol))
+        ref = full_triangle_f2(alpha, b1, b2, g1, g2, x, y)
+        assert abs(got.value - ref) <= got.tail_estimate + 1e-14 * ref
+
+    def test_tail_estimate_with_rising_diagonal_ratios(self):
+        # alpha + b - g is negative here, so the ratio of successive
+        # diagonal sums rises towards x + y; a tail on the last ratio
+        # alone falls short of the true tail by half a percent.
+        args = (0.37589302012568926, 1.4408904285740756, 0.8466267624549528,
+                2.3690279924540483, 2.9044612672985206, 0.7773972513552552,
+                0.20794302909975462)
+        got = appell_f2(*args)
+        ref = full_triangle_f2(*args)
+        assert abs(got.value - ref) <= got.tail_estimate + 1e-14 * ref
+
+    def test_window_widens_mid_series(self, monkeypatch):
+        calls = []
+        window = specfun._window
+
+        def recording(ratio, ns, jstar, width, step):
+            calls.append((int(ns[0]), step, width))
+            return window(ratio, ns, jstar, width, step)
+
+        monkeypatch.setattr(specfun, "_window", recording)
+        p = F4Params(0.5, 1.0, 1.0, 1.0, 0.2, 0.2)
+        got = appell_f4(p)
+        widths = {}
+        redone = []
+        for n0, step, width in calls:
+            if (n0, step) in widths:
+                redone.append((n0, widths[(n0, step)], width))
+            widths[(n0, step)] = width
+        assert any(n0 > 1 and new == 2 * old for n0, old, new in redone)
+        ref = full_triangle_f4(0.5, 1.0, 1.0, 1.0, 0.2, 0.2)
+        assert abs(got.value - ref) <= got.tail_estimate + 1e-14 * ref
+
+
+class TestTermCap:
+    """``terms_used`` and the term cap keep their meaning across engines."""
+
+    # Term counts of the per-diagonal sweep engine that came before the
+    # block engine, for the same series.
+    @pytest.mark.parametrize(
+        "params,rel_tol,sweep_terms",
+        [
+            # interior, gap 0.011, share 0.55, lag (0, 0)
+            ((0.5, 1.0, 1.0, 1.0, (0.55 * 0.989) ** 2, (0.45 * 0.989) ** 2), 1e-10, 89868),
+            # published pair (0.4848, 0.0132), lag (1, 0)
+            ((1.0, 1.5, 2.0, 1.0, 4 * 0.4848**2, 4 * 0.0132**2), 1e-10, 136623),
+            # boundary a = 1/4, theta = 1e-3, f00
+            ((0.5, 1.0, 1.0, 1.0, 0.25 * 0.999, 0.25 * 0.999), 1e-9, 7158912),
+        ],
+    )
+    def test_terms_used_pinned(self, params, rel_tol, sweep_terms):
+        got = appell_f4(F4Params(*params), EvalConfig(rel_tol=rel_tol))
+        assert got.terms_used == pytest.approx(sweep_terms, rel=0.05)
+
+    def test_cap_names_the_diagonal_count(self):
+        p = F4Params(0.5, 1.0, 1.0, 1.0, (0.55 * 0.989) ** 2, (0.45 * 0.989) ** 2)
+        with pytest.raises(MaxTermsExceededError) as info:
+            appell_f4(p, EvalConfig(max_terms=20_000))
+        match = re.search(r"(\d+) terms over (\d+) diagonals", str(info.value))
+        assert match is not None
+        terms, diagonals = int(match.group(1)), int(match.group(2))
+        assert 20_000 < terms < 21_000
+        # the series needs about 820 diagonals; 20k terms reach a fraction
+        assert 50 < diagonals < 800
 
 
 class TestAppellF2:
