@@ -35,6 +35,7 @@ from .variogram import (
 __all__ = ["main", "OutputRecord"]
 
 CSV_HEADER = ["s", "t", "a", "b", "value", "method", "est_error", "terms"]
+METHODS = ("auto", "exact", "edge", "symmetric", "quad", "bessel")
 
 
 @dataclass(frozen=True)
@@ -201,11 +202,7 @@ def _build_parser() -> _Parser:
 
     p_eval = sub.add_parser("eval", help="evaluate a single lag")
     add_common(p_eval)
-    p_eval.add_argument(
-        "--method",
-        choices=["auto", "exact", "edge", "symmetric", "quad", "bessel"],
-        default="auto",
-    )
+    p_eval.add_argument("--method", choices=METHODS, default="auto")
     p_eval.add_argument("--tol", type=float, default=None)
     p_eval.add_argument("--json", action="store_true")
     p_eval.set_defaults(fn=_cmd_eval)
@@ -215,11 +212,7 @@ def _build_parser() -> _Parser:
     p_table.add_argument("--smax", type=int, required=True)
     p_table.add_argument("--tmax", type=int, required=True)
     p_table.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_table.add_argument(
-        "--method",
-        choices=["auto", "exact", "edge", "symmetric", "quad", "bessel"],
-        default="auto",
-    )
+    p_table.add_argument("--method", choices=METHODS, default="auto")
     p_table.add_argument("--tol", type=float, default=None)
     p_table.set_defaults(fn=_cmd_table)
 

@@ -1,10 +1,14 @@
 """Hypergeometric and gamma-family kernels.
 
-Everything here is a pure function of its arguments.  The two-variable
-series (fourth- and second-kind Appell functions) are summed along
-anti-diagonals ``j + k = n``: the shared rising factorials along a
-diagonal give a single-index stopping rule, and successive terms are
-built from closed-form term ratios so magnitudes stay O(1) even when
+Everything here is a pure function of its arguments.  One engine sums
+the single-variable series ``p+1Fp`` (the Gauss series of an Appell
+function with a zero argument, the zero-balanced 4F3 and the F4
+equal-argument reduction) in blocks of cumulative term ratios.
+
+The two-variable series (fourth- and second-kind Appell functions) are
+summed along anti-diagonals ``j + k = n``: the shared rising factorials
+along a diagonal give a single-index stopping rule, and successive terms
+are built from closed-form term ratios so magnitudes stay O(1) even when
 thousands of diagonals are needed.
 
 Diagonals are computed in blocks of consecutive ``n``, one 2-D NumPy
@@ -49,6 +53,7 @@ __all__ = [
 EULER_GAMMA = 0.57721566490153286061
 
 # Ratio clamp for the geometric tail model: tail ~ last_term / (1 - r).
+# A series' limiting ratio, if larger, still wins over it.
 _RATIO_CLAMP = 0.999
 # Entries of one window array (rows x columns) of the double-series engine.
 _BLOCK_ELEMENTS = 8192
@@ -281,34 +286,52 @@ class _F2Terms:
         )
 
 
-def _gauss_2f1_series(
-    a: float, b: float, c: float, z: float, rel_tol: float, max_terms: int
+def _pfq_series(
+    uppers: tuple[float, ...],
+    lowers: tuple[float, ...],
+    z: float,
+    rel_tol: float,
+    max_terms: int,
 ) -> SeriesValue:
-    """Single-variable Gauss series by vectorized term-ratio blocks."""
+    """Single-variable series ``p+1Fp(uppers; lowers; z)`` for |z| < 1.
+
+    Terms come in blocks of cumulative products of the term ratio; the
+    tail is geometric on the last ratio, never below ``|z|``, the limit
+    of that ratio.
+    """
+    if abs(z) >= 1.0:
+        raise OutOfRegionError(
+            f"{len(uppers)}F{len(lowers)} series requires |z| < 1, got z={z}"
+        )
+    for b in lowers:
+        if b <= 0.0 and b == int(b):
+            raise DomainError(f"lower parameter {b} is a nonpositive integer")
+    if z == 0.0 or 0.0 in uppers:
+        return SeriesValue(1.0, 1, 0.0, True)
     total = 1.0
     term = 1.0
     n = 0
     nterms = 1
-    if z == 0.0 or a == 0.0 or b == 0.0:
-        return SeriesValue(total, nterms, 0.0, True)
     block = 256
     while True:
         ns = np.arange(n, n + block, dtype=np.float64)
-        ratios = (a + ns) * (b + ns) * z / ((c + ns) * (ns + 1.0))
-        vals = term * np.cumprod(ratios)
+        num = math.prod([a + ns for a in uppers]) * z
+        ratios = num / math.prod([b + ns for b in lowers] + [ns + 1.0])
+        vals = term * np.multiply.accumulate(ratios)
         total += float(vals.sum())
         term = float(vals[-1])
         n += block
         nterms += block
-        r = min(abs(float(ratios[-1])), _RATIO_CLAMP)
+        r = max(min(abs(float(ratios[-1])), _RATIO_CLAMP), abs(z))
         tail = abs(term) / (1.0 - r)
-        if abs(term) == 0.0 or tail <= rel_tol * max(1.0, abs(total)):
+        if term == 0.0 or tail <= rel_tol * max(1.0, abs(total)):
             return SeriesValue(total, nterms, tail, True)
         if nterms > max_terms:
             raise MaxTermsExceededError(
-                f"Gauss series: {nterms} terms, tail estimate {tail:.3e}"
+                f"{len(uppers)}F{len(lowers)} series: {nterms} terms at z={z}, "
+                f"tail estimate {tail:.3e}"
             )
-        block = min(block * 2, 8192)
+        block = min(block * 2, 16384)
 
 
 def _double_series(terms: _F4Terms | _F2Terms, rel_tol: float, max_terms: int) -> SeriesValue:
@@ -377,7 +400,7 @@ def _double_series(terms: _F4Terms | _F2Terms, rel_tol: float, max_terms: int) -
                 return SeriesValue(total, nterms, 0.0, True)
             if diag < rel_tol * total and d_prev < rel_tol * total:
                 r = diag / d_prev if d_prev > 0.0 else 0.0
-                r = min(max(r, terms.rho), _RATIO_CLAMP)
+                r = max(min(r, _RATIO_CLAMP), terms.rho)
                 tail = diag / (1.0 - r)
                 if tail <= rel_tol * max(1.0, total):
                     return SeriesValue(total, nterms, tail, True)
@@ -395,7 +418,7 @@ def _double_series(terms: _F4Terms | _F2Terms, rel_tol: float, max_terms: int) -
         r = diags[-1] / diags[-2] if rows > 1 else 1.0
         grow = n
         if 0.0 < r < 1.0:
-            target = rel_tol * max(1.0, total) * (1.0 - min(max(r, terms.rho), _RATIO_CLAMP))
+            target = rel_tol * max(1.0, total) * (1.0 - max(min(r, _RATIO_CLAMP), terms.rho))
             grow = min(grow, math.ceil(math.log(target / d_prev) / math.log(r)) + 1)
         support_r, support_l = int(kept_r.max()), int(kept_l.max())
         rows = max(_MIN_ROWS, min(grow, _BLOCK_ELEMENTS // max(1, support_r, support_l)))
@@ -416,7 +439,7 @@ def appell_f4(p: F4Params, cfg: EvalConfig | None = None) -> SeriesValue:
     if p.x == 0.0 or p.y == 0.0:
         # One zero argument leaves a Gauss series in the other (both: 1).
         c = p.gamma1 if p.y == 0.0 else p.gamma2
-        return _gauss_2f1_series(p.alpha, p.beta, c, p.x + p.y, cfg.rel_tol, cfg.max_terms)
+        return _pfq_series((p.alpha, p.beta), (c,), p.x + p.y, cfg.rel_tol, cfg.max_terms)
     terms = _F4Terms(p.alpha, p.beta, p.gamma1, p.gamma2, p.x, p.y)
     return _double_series(terms, cfg.rel_tol, cfg.max_terms)
 
@@ -444,56 +467,9 @@ def appell_f2(
     if x == 0.0 or y == 0.0:
         # One zero argument leaves a Gauss series in the other (both: 1).
         b, c = (beta1, gamma1) if y == 0.0 else (beta2, gamma2)
-        return _gauss_2f1_series(alpha, b, c, x + y, cfg.rel_tol, cfg.max_terms)
+        return _pfq_series((alpha, b), (c,), x + y, cfg.rel_tol, cfg.max_terms)
     terms = _F2Terms(alpha, beta1, beta2, gamma1, gamma2, x, y)
     return _double_series(terms, cfg.rel_tol, cfg.max_terms)
-
-
-def _hyp4f3_raw(
-    uppers: tuple[float, float, float, float],
-    lowers: tuple[float, float, float],
-    z: float,
-    rel_tol: float,
-    max_terms: int,
-) -> SeriesValue:
-    if abs(z) >= 1.0:
-        raise OutOfRegionError(f"4F3 series requires |z| < 1, got z={z}")
-    for b in lowers:
-        if b <= 0.0 and b == int(b):
-            raise DomainError(f"lower parameter {b} is a nonpositive integer")
-    a1, a2, a3, a4 = uppers
-    b1, b2, b3 = lowers
-    total = 1.0
-    term = 1.0
-    n = 0
-    nterms = 1
-    if z == 0.0 or any(a == 0.0 for a in uppers):
-        return SeriesValue(1.0, 1, 0.0, True)
-    block = 512
-    while True:
-        ns = np.arange(n, n + block, dtype=np.float64)
-        ratios = (
-            (a1 + ns)
-            * (a2 + ns)
-            * (a3 + ns)
-            * (a4 + ns)
-            * z
-            / ((b1 + ns) * (b2 + ns) * (b3 + ns) * (ns + 1.0))
-        )
-        vals = term * np.cumprod(ratios)
-        total += float(vals.sum())
-        term = float(vals[-1])
-        n += block
-        nterms += block
-        r = min(abs(float(ratios[-1])), _RATIO_CLAMP)
-        tail = abs(term) / (1.0 - r)
-        if term == 0.0 or tail <= rel_tol * max(1.0, abs(total)):
-            return SeriesValue(total, nterms, tail, True)
-        if nterms > max_terms:
-            raise MaxTermsExceededError(
-                f"4F3 series: {nterms} terms at z={z}, tail estimate {tail:.3e}"
-            )
-        block = min(block * 2, 16384)
 
 
 def hyp4f3_series(p: ZeroBalanced4F3, z: float, cfg: EvalConfig | None = None) -> SeriesValue:
@@ -503,7 +479,7 @@ def hyp4f3_series(p: ZeroBalanced4F3, z: float, cfg: EvalConfig | None = None) -
     approaches the unit argument.
     """
     cfg = cfg or DEFAULT_CONFIG
-    return _hyp4f3_raw(p.uppers, p.lowers, z, cfg.rel_tol, cfg.max_terms)
+    return _pfq_series(p.uppers, p.lowers, z, cfg.rel_tol, cfg.max_terms)
 
 
 def f4_equal_args_reduction(
@@ -524,4 +500,4 @@ def f4_equal_args_reduction(
         return SeriesValue(math.nan, 0, math.inf, False)
     uppers = (alpha, beta, 0.5 * (gamma1 + gamma2), 0.5 * (gamma1 + gamma2 - 1.0))
     lowers = (gamma1, gamma2, gamma1 + gamma2 - 1.0)
-    return _hyp4f3_raw(uppers, lowers, 4.0 * x, cfg.rel_tol, cfg.max_terms)
+    return _pfq_series(uppers, lowers, 4.0 * x, cfg.rel_tol, cfg.max_terms)

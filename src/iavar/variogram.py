@@ -21,7 +21,7 @@ partial sums at high working precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
 
@@ -167,6 +167,12 @@ def _finalize_value(raw: float, est_error: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=256)
+def _cached_f4(p: F4Params, cfg: EvalConfig) -> SeriesValue:
+    # I_00 recurs at every lag of a table and of a boundary fit.
+    return appell_f4(p, cfg)
+
+
 def i_st(c: CoeffPair, lag: Lag, cfg: EvalConfig | None = None) -> SeriesValue:
     """One Laplace-transform term of the interior decomposition.
 
@@ -180,7 +186,7 @@ def i_st(c: CoeffPair, lag: Lag, cfg: EvalConfig | None = None) -> SeriesValue:
     pref = binomial(s + t, s) * c.a**s * c.b**t
     if pref == 0.0:
         return SeriesValue(0.0, 1, 0.0, True)
-    f4 = appell_f4(
+    f4 = _cached_f4(
         F4Params(
             (s + t + 1) / 2.0,
             (s + t) / 2.0 + 1.0,
@@ -215,20 +221,13 @@ def variogram_exact(c: CoeffPair, lag: Lag, cfg: EvalConfig | None = None) -> Va
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=256)
-def _cached_f4(alpha, beta, g1, g2, x, y, rel_tol, max_terms) -> SeriesValue:
-    return appell_f4(
-        F4Params(alpha, beta, g1, g2, x, y),
-        EvalConfig(rel_tol=rel_tol, max_terms=max_terms),
-    )
-
-
 def variogram_edge(a: float, lag: Lag, cfg: EvalConfig | None = None) -> VariogramResult:
     """Boundary variogram at (a, 1/2 - a) by Abel-limit extrapolation.
 
-    Evaluates the interior approximation at theta = 8e-3, 4e-3, 2e-3 and
-    1e-3 (series arguments shrunk by 1 - theta, second term scaled by
-    ``(1-theta)**((s+t)/2)``) and extrapolates theta -> 0.
+    The value at offset theta is the interior variogram at
+    ``(a, 1/2 - a) * sqrt(1 - theta)``; it is evaluated at theta = 8e-3,
+    4e-3, 2e-3 and 1e-3 and extrapolated to theta -> 0.  The shared
+    ``I_00`` term is computed once per offset across lags.
     The remainder of the approximation is O(theta) + O(theta log theta);
     the four-point fit also removes the next-order ``theta**2 log theta``
     term, and its spread against the three-point fit on the smallest
@@ -240,38 +239,25 @@ def variogram_edge(a: float, lag: Lag, cfg: EvalConfig | None = None) -> Variogr
     if lag.s == 0 and lag.t == 0:
         return VariogramResult(0.0, Method.EDGE_ABEL, 0.0, {})
     b = 0.5 - a
-    s, t = lag.s, lag.t
-    pref = binomial(s + t, s) * a**s * b**t
     nus: list[float] = []
     tails: list[float] = []
     diagnostics: dict[str, SeriesValue] = {}
     # Boundary series need a looser target than the interior default:
     # near the edge the term count scales like 1/theta and the
     # extrapolation residual dominates anyway.
-    f4_tol = max(cfg.rel_tol, 1e-9)
+    f4_cfg = replace(cfg, rel_tol=max(cfg.rel_tol, 1e-9))
     for theta in _THETA_SCHEDULE:
-        shrink = 1.0 - theta
-        x = 4.0 * a * a * shrink
-        y = 4.0 * b * b * shrink
+        shrink = math.sqrt(1.0 - theta)
+        shrunk = CoeffPair(a * shrink, b * shrink)
         try:
-            f00 = _cached_f4(0.5, 1.0, 1.0, 1.0, x, y, f4_tol, cfg.max_terms)
-            fst = _cached_f4(
-                (s + t + 1) / 2.0,
-                (s + t) / 2.0 + 1.0,
-                s + 1.0,
-                t + 1.0,
-                x,
-                y,
-                f4_tol,
-                cfg.max_terms,
-            )
+            f00 = i_st(shrunk, Lag(0, 0), f4_cfg)
+            fst = i_st(shrunk, lag, f4_cfg)
         except MaxTermsExceededError as exc:
             raise SlowConvergenceError(
                 f"edge path exhausted the term cap at theta={theta}"
             ) from exc
-        scale = pref * shrink ** ((s + t) / 2.0)
-        nus.append(f00.value - scale * fst.value)
-        tails.append(f00.tail_estimate + abs(scale) * fst.tail_estimate)
+        nus.append(f00.value - fst.value)
+        tails.append(f00.tail_estimate + fst.tail_estimate)
         diagnostics[f"f00_theta_{theta:g}"] = f00
         diagnostics[f"fst_theta_{theta:g}"] = fst
     th = np.asarray(_THETA_SCHEDULE)
@@ -312,49 +298,27 @@ def b_ss_closed(s: int) -> float:
     return digamma(s + 1.0) - digamma(s + 0.5)
 
 
-def _exact_3f2_int_pair(s: int, t: int, k: int) -> tuple[int, int]:
-    """Terminating 3F2 of the B series at unit argument, exactly.
+def _exact_3f2_int_pair(u1: int, u2: int, v1: int, v2: int, k: int) -> tuple[int, int]:
+    """Terminating 3F2(u1/2, u2/2, -k; v1/2, v2/2; 1), exactly.
 
-    Parameters are (s+t)/2, (s+t+1)/2, -k over s+1/2, t+1/2; all terms
-    are rational with half-integer structure, so the sum is accumulated
-    as one integer numerator over a shared denominator (the alternating
-    binomial cancellation makes floating point useless past k ~ 45).
-    Returns (numerator, denominator).
+    The B series' parameters are integers or half-integers, so they are
+    passed doubled and the sum is accumulated as one integer numerator
+    over a shared denominator (the alternating binomial cancellation
+    makes floating point useless past k ~ 45).  Returns (numerator,
+    denominator); a zero lower factor in a term raises
+    :class:`PoleInTermError`.
     """
-    u2 = s + t
     sn = 1
     sd = 1
     tn = 1
     for m in range(k):
-        num_step = (u2 + 2 * m) * (u2 + 1 + 2 * m) * (m - k)
-        den_step = (2 * s + 1 + 2 * m) * (2 * t + 1 + 2 * m) * (m + 1)
-        tn *= num_step
-        sn = sn * den_step + tn
-        sd *= den_step
-        if tn == 0:
-            break
-    return sn, sd
-
-
-def _exact_3f2_transformed_int_pair(s: int, t: int, k: int) -> tuple[int, int]:
-    """Terminating 3F2 of the transformed B series, exactly.
-
-    Parameters are (s+t)/2, (s-t)/2, -k over s+1/2, (s-t+1)/2 - k.
-    """
-    u2 = s + t
-    d2 = s - t
-    sn = 1
-    sd = 1
-    tn = 1
-    for m in range(k):
-        den_low = d2 + 1 - 2 * k + 2 * m
-        if den_low == 0:
+        den_step = (v1 + 2 * m) * (v2 + 2 * m) * (m + 1)
+        if den_step == 0:
             raise PoleInTermError(
-                f"transformed series pole at k={k}, m={m + 1} for lag ({s}, {t})"
+                f"terminating 3F2 with lower parameters {v1}/2, {v2}/2 has a pole "
+                f"at term {m + 1} of {k}"
             )
-        num_step = (u2 + 2 * m) * (d2 + 2 * m) * (m - k)
-        den_step = (2 * s + 1 + 2 * m) * den_low * (m + 1)
-        tn *= num_step
+        tn *= (u1 + 2 * m) * (u2 + 2 * m) * (m - k)
         sn = sn * den_step + tn
         sd *= den_step
         if tn == 0:
@@ -366,29 +330,24 @@ def _b_series_partials(s: int, t: int, kmax: int, transformed: bool) -> list:
     """Exact partial sums of the expansion-constant series as mpf values."""
     partials = []
     total = mp.mpf(0)
+    u2, w = (s - t, t - s + 1) if transformed else (s + t + 1, 2 * t + 1)
     # Running integer Pochhammer products, doubled to stay integral:
-    # q1 ~ (s+1/2)_k, q2 ~ (t+1/2)_k, r1 ~ ((s+t+1)/2)_k,
-    # r2 ~ ((s+t)/2+1)_k, p ~ ((t-s+1)/2)_k; common 2**k factors cancel.
+    # q1 ~ (s+1/2)_k, q2 ~ (w/2)_k (w = 2t+1 for the defining series,
+    # t-s+1 for the transformed one), r1 ~ ((s+t+1)/2)_k,
+    # r2 ~ ((s+t)/2+1)_k; common 2**k factors cancel.
     q1 = 1
     q2 = 1
     r1 = 1
     r2 = 1
-    p = 1
     for k in range(1, kmax + 1):
         i = k - 1
         q1 *= 2 * s + 1 + 2 * i
+        q2 *= w + 2 * i
         r1 *= s + t + 1 + 2 * i
         r2 *= s + t + 2 + 2 * i
-        if transformed:
-            p *= t - s + 1 + 2 * i
-            fn, fd = _exact_3f2_transformed_int_pair(s, t, k)
-            num = q1 * p * fn
-        else:
-            q2 *= 2 * t + 1 + 2 * i
-            fn, fd = _exact_3f2_int_pair(s, t, k)
-            num = q1 * q2 * fn
-        den = k * r1 * r2 * fd
-        total += mp.mpf(num) / mp.mpf(den)
+        v2 = s - t + 1 - 2 * k if transformed else 2 * t + 1
+        fn, fd = _exact_3f2_int_pair(s + t, u2, 2 * s + 1, v2, k)
+        total += mp.mpf(q1 * q2 * fn) / mp.mpf(k * r1 * r2 * fd)
         partials.append(total)
     return partials
 

@@ -4,6 +4,7 @@ import math
 import re
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special
@@ -28,7 +29,7 @@ from iavar.specfun import (
     f4_equal_args_reduction,
     hyp4f3_series,
 )
-from iavar.variogram import _exact_3f2_int_pair, _exact_3f2_transformed_int_pair
+from iavar.variogram import _exact_3f2_int_pair
 
 import iavar.specfun as specfun
 from conftest import (
@@ -47,6 +48,19 @@ F2_AT_02_03 = 1.3540629392527235
 # Frozen via 300-term direct high-precision summation of the unit-lag
 # zero-balanced family at z = 1/2.
 H4F3_LAG11_HALF = 1.6261663462294002
+
+
+def lag_family_4f3(s, t):
+    """The zero-balanced 4F3 of the lag-(s, t) family."""
+    return ZeroBalanced4F3(
+        (s + t + 1) / 2.0,
+        (s + t) / 2.0 + 1.0,
+        (s + t) / 2.0 + 1.0,
+        (s + t + 1) / 2.0,
+        s + 1.0,
+        t + 1.0,
+        s + t + 1.0,
+    )
 
 
 class TestDigamma:
@@ -92,23 +106,25 @@ class TestBinomial:
 
 
 class TestHyp3F2Terminating:
-    # The B series' terminating 3F2 has uppers (s+t)/2, (s+t+1)/2, -k and
-    # lowers s+1/2, t+1/2; it is summed as one exact integer fraction.
+    # The B series' terminating 3F2s have uppers u1/2, u2/2, -k and lowers
+    # v1/2, v2/2 (doubled parameters as integers); each is summed as one
+    # exact integer fraction.  The defining series passes
+    # (s+t, s+t+1, 2s+1, 2t+1), the transformed one (s+t, s-t, 2s+1, s-t+1-2k).
     @staticmethod
-    def _exact(s, t, k):
-        return Fraction(*_exact_3f2_int_pair(s, t, k))
+    def _exact(u1, u2, v1, v2, k):
+        return Fraction(*_exact_3f2_int_pair(u1, u2, v1, v2, k))
 
     def test_k_zero(self):
-        assert self._exact(2, 3, 0) == 1
+        assert self._exact(5, 6, 5, 7, 0) == 1
 
     def test_zero_numerator(self):
         # s = t = 0 puts a zero upper parameter in the first term ratio
-        assert self._exact(0, 0, 7) == 1
+        assert self._exact(0, 1, 1, 1, 7) == 1
 
     def test_known_rational(self):
         want = exact_3f2_terminating(1, Fraction(1, 2), 3, Fraction(3, 2), Fraction(1, 2))
         assert want == Fraction(1, 7)
-        assert self._exact(1, 0, 3) == want
+        assert self._exact(1, 2, 3, 1, 3) == want
 
     @pytest.mark.parametrize("k", [1, 5, 12, 25, 40])
     def test_against_exact_rational(self, k):
@@ -119,13 +135,23 @@ class TestHyp3F2Terminating:
                 Fraction(s + t, 2), Fraction(s + t + 1, 2), k,
                 Fraction(2 * s + 1, 2), Fraction(2 * t + 1, 2),
             )
-            assert self._exact(s, t, k) == want, (s, t, k)
+            assert self._exact(s + t, s + t + 1, 2 * s + 1, 2 * t + 1, k) == want, (s, t, k)
+            # transformed parameters, on lags whose lower factor s-t+1-2k+2m
+            # never vanishes (s <= t, or s - t even)
+            if s > t and (s - t) % 2 == 1:
+                continue
+            want = exact_3f2_terminating(
+                Fraction(s + t, 2), Fraction(s - t, 2), k,
+                Fraction(2 * s + 1, 2), Fraction(s - t + 1 - 2 * k, 2),
+            )
+            got = self._exact(s + t, s - t, 2 * s + 1, s - t + 1 - 2 * k, k)
+            assert got == want, (s, t, k)
 
     def test_pole(self):
         # transformed series: lower parameter (s-t+1)/2 - k hits 0 at
         # s - t = 1, k = 1
         with pytest.raises(PoleInTermError):
-            _exact_3f2_transformed_int_pair(2, 1, 1)
+            _exact_3f2_int_pair(3, 1, 5, 0, 1)
 
 
 class TestAppellF4:
@@ -271,6 +297,43 @@ class TestEngineAgainstFullTriangle:
         assert abs(got.value - ref) <= got.tail_estimate + 1e-14 * ref
 
 
+class TestTailAtLimitingRatio:
+    """The geometric tail never uses a ratio below the series' limiting ratio.
+
+    Near the radius of convergence the last term ratio still rises towards
+    ``|z|`` (or ``rho`` for F4), and a 0.999 clamp on it alone cut the tail
+    short by up to ``(1 - 0.999) / (1 - |z|)``.
+    """
+
+    def test_binomial_series_near_unit_argument(self):
+        z = 0.9999
+        got = appell_f4(F4Params(0.5, 1.0, 1.0, 1.0, z, 0.0), EvalConfig(rel_tol=1e-9))
+        want = float((1 - mp.mpf(z)) ** -0.5)
+        assert abs(got.value - want) <= got.tail_estimate + 1e-14 * want
+
+    def test_gauss_series_with_rising_ratios(self):
+        got = appell_f4(F4Params(0.3, 0.2, 2.5, 1.0, 0.999, 0.0), EvalConfig(rel_tol=1e-10))
+        want = float(mp.hyp2f1(0.3, 0.2, 2.5, 0.999))
+        assert abs(got.value - want) <= got.tail_estimate + 1e-14 * want
+
+    def test_zero_balanced_4f3_near_unit_argument(self):
+        p = lag_family_4f3(2, 1)
+        got = hyp4f3_series(p, 0.9999, EvalConfig(rel_tol=1e-9))
+        with mp.workdps(25):
+            want = float(mp.hyper(p.uppers, p.lowers, 0.9999))
+        assert abs(got.value - want) <= got.tail_estimate + 1e-14 * want
+
+    @pytest.mark.parametrize(
+        "rho,share", [(0.9994, 0.97), (0.9995, 0.98), (0.9996, 0.995)]
+    )
+    def test_f4_beyond_the_clamp(self, rho, share):
+        r = math.sqrt(rho)
+        p = F4Params(0.5, 1.0, 1.0, 1.0, (r * share) ** 2, (r * (1.0 - share)) ** 2)
+        got = appell_f4(p, EvalConfig(rel_tol=1e-9))
+        ref = appell_f4(p, EvalConfig(rel_tol=1e-13, max_terms=100_000_000))
+        assert abs(got.value - ref.value) <= got.tail_estimate + 1e-14 * ref.value
+
+
 class TestTermCap:
     """``terms_used`` and the term cap keep their meaning across engines."""
 
@@ -322,31 +385,20 @@ class TestAppellF2:
 
 
 class TestHyp4F3:
-    def _params(self, s, t):
-        return ZeroBalanced4F3(
-            (s + t + 1) / 2.0,
-            (s + t) / 2.0 + 1.0,
-            (s + t) / 2.0 + 1.0,
-            (s + t + 1) / 2.0,
-            s + 1.0,
-            t + 1.0,
-            s + t + 1.0,
-        )
-
     def test_zero_argument(self):
-        assert hyp4f3_series(self._params(1, 1), 0.0).value == 1.0
+        assert hyp4f3_series(lag_family_4f3(1, 1), 0.0).value == 1.0
 
     def test_zero_upper_parameter(self):
         p = ZeroBalanced4F3(0.0, 1.0, 2.0, 3.0, 1.5, 2.0, 2.5)
         assert hyp4f3_series(p, 0.7).value == 1.0
 
     def test_frozen_direct_sum(self):
-        res = hyp4f3_series(self._params(1, 1), 0.5)
+        res = hyp4f3_series(lag_family_4f3(1, 1), 0.5)
         assert res.value == pytest.approx(H4F3_LAG11_HALF, rel=1e-12)
 
     def test_out_of_region(self):
         with pytest.raises(OutOfRegionError):
-            hyp4f3_series(self._params(1, 1), 1.0)
+            hyp4f3_series(lag_family_4f3(1, 1), 1.0)
 
     def test_balance_enforced(self):
         with pytest.raises(DomainError):

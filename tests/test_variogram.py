@@ -1,5 +1,6 @@
 """Unit tests for the variogram evaluation paths."""
 
+import importlib
 import math
 
 import pytest
@@ -28,6 +29,8 @@ from iavar.variogram import (
 )
 
 LN4 = math.log(4.0)
+# The module, not the package's ``variogram`` function of the same name.
+variogram_module = importlib.import_module("iavar.variogram")
 
 
 class TestTypes:
@@ -151,6 +154,38 @@ class TestEdgePath:
             variogram_edge(0.0, Lag(1, 0))
         with pytest.raises(DomainError):
             variogram_edge(0.5, Lag(1, 0))
+
+
+class TestSharedF4Cache:
+    """Interior and boundary paths share one F4 cache keyed by the series."""
+
+    @pytest.fixture
+    def f4_calls(self, monkeypatch):
+        calls = []
+        appell_f4 = variogram_module.appell_f4
+
+        def counting(p, cfg=None):
+            calls.append(p)
+            return appell_f4(p, cfg)
+
+        monkeypatch.setattr(variogram_module, "appell_f4", counting)
+        variogram_module._cached_f4.cache_clear()
+        yield calls
+        variogram_module._cached_f4.cache_clear()
+
+    def test_interior_table_computes_i00_once(self, f4_calls):
+        pair = CoeffPair(0.2, 0.1)
+        for s in range(3):
+            for t in range(3):
+                variogram_exact(pair, Lag(s, t))
+        # eight nonzero lags, each with its own I_st, plus one shared I_00
+        assert len(f4_calls) == 9
+
+    def test_edge_shares_f00_across_lags(self, f4_calls):
+        variogram_edge(0.2, Lag(1, 0))
+        variogram_edge(0.2, Lag(2, 1))
+        # four offsets: one f00 each, and one fst per offset and lag
+        assert len(f4_calls) == 12
 
 
 class TestExpansionConstants:
