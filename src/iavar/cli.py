@@ -27,6 +27,7 @@ from .variogram import (
     Lag,
     Regime,
     variogram,
+    variogram_diagonal,
     variogram_edge,
     variogram_exact,
     variogram_symmetric,
@@ -163,8 +164,6 @@ def _cmd_verify(args) -> int:
     if pair.regime is Regime.SYMMETRIC_QUARTER:
         values["symmetric"] = variogram_symmetric(lag, cfg).value
         if lag.s == lag.t:
-            from .variogram import variogram_diagonal
-
             values["diagonal-closed"] = variogram_diagonal(lag.s)
         values["edge-abel"] = variogram_edge(args.a, lag, cfg).value
     elif pair.regime is Regime.EDGE:

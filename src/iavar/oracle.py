@@ -3,17 +3,21 @@
 Two routes that share no numerical kernel with the series evaluation
 (or with each other):
 
-* adaptive 2-D quadrature of the defining double integral over
-  [0, pi]^2, with a polar-coordinate patch around the origin where the
-  boundary case has a removable 0/0;
+* adaptive quadrature of the defining double integral over [0, pi]^2
+  reduced to one dimension: the integral over y has a closed form
+  (Gradshteyn & Ryzhik 3.613.2),
+  ``(1/pi) int_0^pi cos(ty) / (A - 2b cos y) dy = rho**t / sqrt(D- D+)``
+  with ``A = 1 - 2a cos x``, ``D- = A - 2b``, ``D+ = A + 2b`` and
+  ``rho = 2b / (A + sqrt(D- D+))``, which leaves one integral over x;
 * the Laplace-transform representation as a semi-infinite integral of
   a product of exponentially scaled modified Bessel functions, summed
   on composite Gauss-Legendre panels.
 
-The integrands are evaluated through cancellation-free forms: both the
-numerator 1 - cos(sx) cos(ty) and the denominator
-1 - 2a cos(x) - 2b cos(y) are expanded in half-angle sines, which keeps
-every contribution nonnegative near the origin.
+The reduced integrand is evaluated through cancellation-free forms:
+``D- = gap + 4a sin^2(x/2)`` in half-angle sines, ``1 - cos(sx) rho**t``
+as ``2 sin^2(sx/2) - cos(sx) expm1(t log rho)``, and ``log rho`` through
+``log1p``, so every piece stays accurate near the origin, where the
+boundary case has a removable 0/0.
 """
 
 from __future__ import annotations
@@ -34,9 +38,6 @@ __all__ = [
     "bessel_laplace_variogram",
 ]
 
-_EDGE_SPLIT_GAP = 1e-6
-# Radius of the polar quarter-disk patch around the origin (boundary case).
-_ORIGIN_SPLIT_RADIUS = 0.1
 # Subinterval limit of each adaptive quadrature call.
 _QUAD_LIMIT = 200
 
@@ -53,28 +54,6 @@ class QuadratureSettings:
             raise DomainError("tolerances must be positive")
 
 
-def _den_scalar(a: float, b: float, gap: float, x: float, y: float) -> float:
-    sx = math.sin(0.5 * x)
-    sy = math.sin(0.5 * y)
-    return gap + 4.0 * a * sx * sx + 4.0 * b * sy * sy
-
-
-def _num_scalar(s: int, t: int, x: float, y: float) -> float:
-    sa = math.sin(0.5 * s * x)
-    sb = math.sin(0.5 * t * y)
-    return 2.0 * sa * sa + math.cos(s * x) * 2.0 * sb * sb
-
-
-def _integrand_grid(a, b, gap, s, t, x, y):
-    sx = np.sin(0.5 * x)
-    sy = np.sin(0.5 * y)
-    den = gap + 4.0 * a * sx * sx + 4.0 * b * sy * sy
-    sa = np.sin(0.5 * s * x)
-    sb = np.sin(0.5 * t * y)
-    num = 2.0 * sa * sa + np.cos(s * x) * 2.0 * sb * sb
-    return num / den
-
-
 def _quadrature_variogram_impl(
     c: CoeffPair, lag: Lag, q: QuadratureSettings
 ) -> tuple[float, float]:
@@ -86,72 +65,42 @@ def _quadrature_variogram_impl(
         return 0.0, 0.0
     gap = max(0.0, 1.0 - 2.0 * a - 2.0 * b)
 
-    inner_eps = q.abs_tol / 30.0
-    outer_eps = q.abs_tol / 3.0
-    inner_errs: list[float] = []
+    def f(x: float) -> float:
+        h = math.sin(0.5 * x)
+        d_minus = gap + 4.0 * a * h * h
+        root = math.sqrt(d_minus * (d_minus + 4.0 * b))
+        if t == 0:
+            decay = 0.0
+        elif b == 0.0:
+            decay = -1.0  # rho = 0
+        else:
+            decay = math.expm1(-t * math.log1p((d_minus + root) / (2.0 * b)))
+        hs = math.sin(0.5 * s * x)
+        return (2.0 * hs * hs - math.cos(s * x) * decay) / root
 
-    def f(x: float, y: float) -> float:
-        return _num_scalar(s, t, x, y) / _den_scalar(a, b, gap, x, y)
-
-    split = gap <= _EDGE_SPLIT_GAP
-    delta = _ORIGIN_SPLIT_RADIUS
-
-    patch = 0.0
-    if split:
-        # Quarter-disk around the origin in polar coordinates, where the
-        # integrand times the Jacobian r is smooth for every direction.
-        nodes, weights = np.polynomial.legendre.leggauss(64)
-        r = 0.5 * delta * (nodes + 1.0)
-        wr = 0.5 * delta * weights
-        phi = 0.25 * math.pi * (nodes + 1.0)
-        wphi = 0.25 * math.pi * weights
-        rg, pg = np.meshgrid(r, phi, indexing="ij")
-        xg = rg * np.cos(pg)
-        yg = rg * np.sin(pg)
-        vals = rg * _integrand_grid(a, b, gap, s, t, xg, yg)
-        patch = float(np.einsum("i,j,ij->", wr, wphi, vals))
-
-        def y_lower(x: float) -> float:
-            return math.sqrt(max(delta * delta - x * x, 0.0)) if x < delta else 0.0
-
-    else:
-
-        def y_lower(x: float) -> float:
-            return 0.0
-
-    def inner(x: float) -> float:
-        val, err = quad(
-            lambda y: f(x, y),
-            y_lower(x),
-            math.pi,
-            epsabs=inner_eps,
-            epsrel=q.rel_tol / 10.0,
-            limit=_QUAD_LIMIT,
-        )
-        inner_errs.append(err)
-        return val
-
-    points = [delta] if split else None
-    outer_val, outer_err = quad(
-        inner,
+    # Near the edge the integrand varies on the scale where 4a sin^2(x/2)
+    # reaches the gap.
+    knee = math.sqrt(gap / a) if a > 0.0 else 0.0
+    val, err = quad(
+        f,
         0.0,
         math.pi,
-        epsabs=outer_eps,
+        epsabs=math.pi * q.abs_tol / 3.0,
         epsrel=q.rel_tol / 3.0,
         limit=_QUAD_LIMIT,
-        points=points,
+        points=[knee] if 0.0 < knee < math.pi else None,
     )
-    value = (patch + outer_val) / math.pi**2
-    err = (outer_err + math.pi * max(inner_errs)) / math.pi**2
+    value = val / math.pi
+    err /= math.pi
     if err > max(q.abs_tol, q.rel_tol * abs(value)):
         raise ToleranceNotReachedError(
-            f"2-D quadrature error estimate {err:.3e} exceeds tolerance"
+            f"quadrature error estimate {err:.3e} exceeds tolerance"
         )
     return value, err
 
 
 def quadrature_variogram(c: CoeffPair, lag: Lag, q: QuadratureSettings | None = None) -> float:
-    """Variogram by adaptive 2-D quadrature of the defining integral."""
+    """Variogram by adaptive quadrature of the defining integral, reduced to 1-D."""
     q = q or QuadratureSettings()
     return _quadrature_variogram_impl(c, lag, q)[0]
 

@@ -297,7 +297,10 @@ def _pfq_series(
 
     Terms come in blocks of cumulative products of the term ratio; the
     tail is geometric on the last ratio, never below ``|z|``, the limit
-    of that ratio.
+    of that ratio.  The reported ``tail_estimate`` adds a rounding term
+    ``eps * sum_k k |t_k|``, since term k is a product of k rounded
+    ratios; the stopping test uses the truncation tail alone, so a
+    ``rel_tol`` below the rounding level returns ``converged=False``.
     """
     if abs(z) >= 1.0:
         raise OutOfRegionError(
@@ -310,6 +313,7 @@ def _pfq_series(
         return SeriesValue(1.0, 1, 0.0, True)
     total = 1.0
     term = 1.0
+    rounding = 0.0
     n = 0
     nterms = 1
     block = 256
@@ -319,13 +323,15 @@ def _pfq_series(
         ratios = num / math.prod([b + ns for b in lowers] + [ns + 1.0])
         vals = term * np.multiply.accumulate(ratios)
         total += float(vals.sum())
+        rounding += float(np.abs(vals) @ (ns + 1.0))
         term = float(vals[-1])
         n += block
         nterms += block
         r = max(min(abs(float(ratios[-1])), _RATIO_CLAMP), abs(z))
         tail = abs(term) / (1.0 - r)
         if term == 0.0 or tail <= rel_tol * max(1.0, abs(total)):
-            return SeriesValue(total, nterms, tail, True)
+            est = tail + math.ulp(1.0) * rounding
+            return SeriesValue(total, nterms, est, est <= rel_tol * max(1.0, abs(total)))
         if nterms > max_terms:
             raise MaxTermsExceededError(
                 f"{len(uppers)}F{len(lowers)} series: {nterms} terms at z={z}, "

@@ -431,30 +431,18 @@ def zero_balanced_4f3_near_unit(lag: Lag, theta: float, cfg: EvalConfig | None =
 def variogram_symmetric(lag: Lag, cfg: EvalConfig | None = None) -> VariogramResult:
     """Closed form at a = b = 1/4: (log 4 + 2 H_{s+t} - B) / pi.
 
-    B comes from its defining series and is cross-checked against the
-    transformed series (with lag components swapped where the latter
-    has poles).
+    B comes from its defining series.
     """
     cfg = cfg or DEFAULT_CONFIG
     s, t = lag.s, lag.t
     if s == 0 and t == 0:
         return VariogramResult(0.0, Method.SYMMETRIC_CLOSED, 0.0, {})
     b = b_st(lag, cfg)
-    lo, hi = min(s, t), max(s, t)
-    b_alt = b_st_transformed(Lag(lo, hi), cfg)
-    spread = abs(b.value - b_alt.value)
-    budget = max(1e-9, 10.0 * (b.tail_estimate + b_alt.tail_estimate))
-    if spread > budget * max(1.0, abs(b.value)):
-        raise NumericalConsistencyError(
-            f"B series disagree at lag ({s}, {t}): {b.value!r} vs {b_alt.value!r}"
-        )
     harmonic = math.fsum(1.0 / k for k in range(1, s + t + 1))
     raw = (math.log(4.0) + 2.0 * harmonic - b.value) / math.pi
-    est = (b.tail_estimate + spread) / math.pi + 1e-15
+    est = b.tail_estimate / math.pi + 1e-15
     value = _finalize_value(raw, est)
-    return VariogramResult(
-        value, Method.SYMMETRIC_CLOSED, est, {"b_st": b, "b_st_transformed": b_alt}
-    )
+    return VariogramResult(value, Method.SYMMETRIC_CLOSED, est, {"b_st": b})
 
 
 def variogram_diagonal(s: int) -> float:

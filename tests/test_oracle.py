@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import pytest
 import scipy.special
 
@@ -81,6 +82,65 @@ class TestQuadrature:
             v1, e1 = _quadrature_variogram_impl(pair, Lag(s, t), coarse)
             v2, _ = _quadrature_variogram_impl(pair, Lag(s, t), fine)
             assert abs(v2 - v1) <= max(e1, 1e-12)
+
+
+def reduced_integral(a, b, s, t, dps=30):
+    """The 1-D integral the quadrature oracle evaluates, by mpmath.
+
+    ``(1/pi) int_0^pi (1 - cos(sx) rho**t) / sqrt(D- D+) dx``, with the
+    y integral done in closed form; breakpoints bracket the scale
+    ``sqrt(gap / a)`` on which the integrand varies near the edge.
+    """
+    with mp.workdps(dps):
+        a, b = mp.mpf(a), mp.mpf(b)
+        gap = max(mp.mpf(0), 1 - 2 * a - 2 * b)
+
+        def f(x):
+            d_minus = gap + 4 * a * mp.sin(x / 2) ** 2
+            root = mp.sqrt(d_minus * (d_minus + 4 * b))
+            rho = 2 * b / (d_minus + 2 * b + root)
+            return (1 - mp.cos(s * x) * rho**t) / root
+
+        knee = mp.sqrt(gap / a)
+        points = [0, mp.pi]
+        if 0 < knee < 1:
+            points[1:1] = [knee / 100, knee, 10 * knee]
+        return float(mp.quad(f, points) / mp.pi)
+
+
+class TestReducedIntegral:
+    """The oracle integrates over y in closed form and over x by quadrature."""
+
+    @pytest.mark.parametrize("a", [0.1, 0.3, 0.45])
+    @pytest.mark.parametrize("s", [0, 1, 3])
+    def test_b_zero_closed_form(self, a, s):
+        # 1-D lattice: nu(s, t > 0) = 1 / sqrt(1 - 4a^2) and
+        # nu(s, 0) = (1 - rho_a**s) / sqrt(1 - 4a^2)
+        root = math.sqrt(1.0 - 4.0 * a * a)
+        rho_a = 2.0 * a / (1.0 + root)
+        for t, want in ((2, 1.0 / root), (0, (1.0 - rho_a**s) / root)):
+            if s == 0 and t == 0:
+                continue
+            got, err = _quadrature_variogram_impl(
+                CoeffPair(a, 0.0), Lag(s, t), QuadratureSettings()
+            )
+            assert abs(got - want) <= err + 4.0 * math.ulp(want)
+
+    @pytest.mark.parametrize(
+        "a,b,s,t",
+        [
+            (0.2, 0.1, 2, 1),
+            (0.1, 0.3, 1, 0),
+            (0.35, 0.1, 3, 2),
+            (0.3, 0.19995, 1, 1),  # gap 1e-4
+            (0.3, 0.19999975, 1, 0),  # gap 5e-7
+            (0.3, 0.2, 12, 0),  # boundary
+            (0.25, 0.25, 5, 2),  # quarter point
+        ],
+    )
+    def test_error_estimate_bounds_error(self, a, b, s, t):
+        got, err = _quadrature_variogram_impl(CoeffPair(a, b), Lag(s, t), QuadratureSettings())
+        assert abs(got - reduced_integral(a, b, s, t)) <= err
 
 
 class TestLaplaceRoute:

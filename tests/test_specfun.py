@@ -334,6 +334,30 @@ class TestTailAtLimitingRatio:
         assert abs(got.value - ref.value) <= got.tail_estimate + 1e-14 * ref.value
 
 
+class TestRoundingInTail:
+    """The 1-D engine's reported tail covers its summation rounding.
+
+    Near the unit argument the truncation tail of the lag family's 4F3
+    falls below the rounding of tens of thousands of terms, each a
+    product of rounded ratios.
+    """
+
+    @pytest.mark.parametrize(
+        "s,t,z", [(2, 1, 0.999), (3, 2, 0.999), (2, 1, 0.99), (3, 2, 0.99)]
+    )
+    def test_zero_balanced_4f3(self, s, t, z):
+        p = lag_family_4f3(s, t)
+        got = hyp4f3_series(p, z, EvalConfig(rel_tol=1e-10))
+        with mp.workdps(30):
+            want = float(mp.hyper(p.uppers, p.lowers, z))
+        assert abs(got.value - want) <= got.tail_estimate
+
+    def test_tolerance_below_rounding_not_converged(self):
+        got = hyp4f3_series(lag_family_4f3(2, 1), 0.999, EvalConfig(rel_tol=1e-15))
+        assert got.tail_estimate > 1e-15 * got.value
+        assert not got.converged
+
+
 class TestTermCap:
     """``terms_used`` and the term cap keep their meaning across engines."""
 

@@ -313,6 +313,20 @@ class TestSymmetricPath:
         sym = variogram_symmetric(Lag(s, s))
         assert sym.value == pytest.approx(variogram_diagonal(s), abs=1e-10)
 
+    def test_sums_b_once(self, monkeypatch):
+        calls = []
+        b_series_eval = variogram_module._b_series_eval
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return b_series_eval(*args, **kwargs)
+
+        monkeypatch.setattr(variogram_module, "_b_series_eval", counting)
+        res = variogram_symmetric(Lag(5, 2))
+        assert len(calls) == 1
+        harmonic = math.fsum(1.0 / k for k in range(1, 8))
+        assert res.value == (LN4 + 2.0 * harmonic - b_st(Lag(5, 2)).value) / math.pi
+
 
 class TestDiagonalClosedForm:
     @pytest.mark.parametrize(
