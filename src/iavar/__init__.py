@@ -4,7 +4,8 @@ The model lives on the 2-D square lattice with conditional-mean weights
 (a, b) on the horizontal/vertical neighbours.  The variogram of the lag
 difference is evaluated through Appell hypergeometric series in the
 interior of the coefficient region, an Abel-limit extrapolation on its
-boundary, and closed forms at the symmetric quarter point; independent
+boundary, and closed forms (the paper's) or a reduced one-dimensional
+integral (the default) at the symmetric quarter point; independent
 quadrature and Laplace-transform oracles provide ground truth.
 """
 
@@ -54,6 +55,7 @@ from .variogram import (
     variogram_diagonal,
     variogram_edge,
     variogram_exact,
+    variogram_reduced,
     variogram_symmetric,
     zero_balanced_4f3_near_unit,
 )
@@ -91,6 +93,7 @@ __all__ = [
     "zero_balanced_4f3_near_unit",
     "variogram_symmetric",
     "variogram_diagonal",
+    "variogram_reduced",
     "variogram",
     "quadrature_variogram",
     "bessel_laplace_i_st",

@@ -30,6 +30,7 @@ from .variogram import (
     variogram_diagonal,
     variogram_edge,
     variogram_exact,
+    variogram_reduced,
     variogram_symmetric,
 )
 
@@ -163,6 +164,7 @@ def _cmd_verify(args) -> int:
     values: dict[str, float] = {}
     if pair.regime is Regime.SYMMETRIC_QUARTER:
         values["symmetric"] = variogram_symmetric(lag, cfg).value
+        values["reduced"] = variogram_reduced(lag).value
         if lag.s == lag.t:
             values["diagonal-closed"] = variogram_diagonal(lag.s)
         values["edge-abel"] = variogram_edge(args.a, lag, cfg).value

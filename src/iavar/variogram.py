@@ -1,13 +1,17 @@
 """Lag-(s,t) variogram of a first-order intrinsic autoregression.
 
-Four evaluation paths cover the admissible coefficient region:
+Five evaluation paths cover the admissible coefficient region:
 
 * interior (|a| + |b| < 1/2): difference of two fourth-kind Appell
   series evaluations;
 * boundary (a + b = 1/2): Abel-limit approximation evaluated on a
   schedule of interior offsets and extrapolated to the boundary;
-* symmetric quarter point (a = b = 1/4): closed form in terms of an
-  expansion constant B given by a slowly convergent series;
+* symmetric quarter point (a = b = 1/4), the paper's construction:
+  closed form in terms of an expansion constant B given by a slowly
+  convergent series;
+* off-diagonal lags at the quarter point, as ``variogram`` evaluates
+  them: the defining double integral reduced to one dimension (its
+  inner integral in closed form) on a fixed Gauss-Legendre rule;
 * diagonal lags at the quarter point: an elementary odd-harmonic sum.
 
 The B series has terms decaying like ``k**-1.5`` (faster for larger
@@ -65,6 +69,7 @@ __all__ = [
     "zero_balanced_4f3_near_unit",
     "variogram_symmetric",
     "variogram_diagonal",
+    "variogram_reduced",
     "variogram",
 ]
 
@@ -78,8 +83,16 @@ EPS_SYM = 1e-14
 # let the extrapolation model carry the next-order remainder term.
 _THETA_SCHEDULE = (8e-3, 4e-3, 2e-3, 1e-3)
 # Exactly computed leading terms of the expansion-constant series
-# before the half-power tail elimination takes over.
+# before the half-power tail elimination takes over, and the working
+# precision of that elimination.
 _BSERIES_KMAX = 192
+_BSERIES_DPS = 60
+# Gauss-Legendre orders of the reduced quarter-point integral: the
+# higher one gives the value, their difference the truncation error.
+_GL_ORDERS = (16, 32)
+# Rounded floating-point operations per integrand value, which scale
+# the rounding term of the reduced integral's error bar.
+_GL_ROUNDING_OPS = 16
 
 
 class Regime(Enum):
@@ -93,6 +106,7 @@ class Method(Enum):
     EDGE_ABEL = "EdgeAbel"
     SYMMETRIC_CLOSED = "SymmetricClosed"
     DIAGONAL_CLOSED = "DiagonalClosed"
+    REDUCED_QUAD = "ReducedQuad"
 
 
 @dataclass(frozen=True)
@@ -352,25 +366,42 @@ def _b_series_partials(s: int, t: int, kmax: int, transformed: bool) -> list:
     return partials
 
 
+@lru_cache(maxsize=None)
+def _richardson_weights(kmax: int, j_top: int) -> tuple[tuple[int, ...], tuple]:
+    """Nodes and limit weights of one half-power elimination order.
+
+    The limit S of ``S_K = S + sum_{j <= j_top} d_j K**(-j/2)`` fitted
+    through the partial sums at the nodes is the first component of the
+    solution of ``M x = S_nodes``, i.e. ``w . S_nodes`` with
+    ``M^T w = e_0``.  ``M`` depends on the nodes only, never on the lag,
+    so the weights are solved once per order.
+    """
+    step = max(4, kmax // (2 * (j_top + 1)))
+    nodes = tuple(kmax - i * step for i in range(j_top + 1))
+    with mp.workdps(_BSERIES_DPS):
+        mt = mp.matrix(j_top + 1, j_top + 1)
+        for i, kn in enumerate(nodes):
+            for j in range(j_top + 1):
+                mt[j, i] = mp.power(kn, mp.mpf(-j) / 2)
+        e0 = mp.matrix(j_top + 1, 1)
+        e0[0] = 1
+        weights = mp.lu_solve(mt, e0)
+        return nodes, tuple(weights[i] for i in range(j_top + 1))
+
+
 def _half_power_limit(partials: list, order: int) -> tuple[float, float]:
     """Limit of partial sums whose remainder is a half-power ladder in 1/K.
 
     Solves for S in ``S_K = S + sum_j d_j K**(-j/2)`` on a spread of
-    nodes, at two elimination orders; the spread between the orders is
-    the error estimate.
+    nodes, at two elimination orders, as a weighted sum of the partial
+    sums at the nodes (:func:`_richardson_weights`); the spread between
+    the orders is the error estimate.
     """
     kmax = len(partials)
     estimates = []
     for j_top in (order, order - 2):
-        step = max(4, kmax // (2 * (j_top + 1)))
-        nodes = [kmax - i * step for i in range(j_top + 1)]
-        m = mp.matrix(j_top + 1, j_top + 1)
-        rhs = mp.matrix(j_top + 1, 1)
-        for i, kn in enumerate(nodes):
-            for j in range(j_top + 1):
-                m[i, j] = mp.power(kn, mp.mpf(-j) / 2)
-            rhs[i] = partials[kn - 1]
-        estimates.append(mp.lu_solve(m, rhs)[0])
+        nodes, weights = _richardson_weights(kmax, j_top)
+        estimates.append(mp.fsum(w * partials[kn - 1] for w, kn in zip(weights, nodes)))
     err = abs(estimates[0] - estimates[1])
     return float(estimates[0]), float(err) + 1e-14
 
@@ -380,7 +411,7 @@ def _b_series_eval(s: int, t: int, cfg: EvalConfig, transformed: bool) -> Series
         raise MaxTermsExceededError(
             f"the expansion-constant series needs {_BSERIES_KMAX} terms, over the cap"
         )
-    with mp.workdps(60):
+    with mp.workdps(_BSERIES_DPS):
         partials = _b_series_partials(s, t, _BSERIES_KMAX, transformed)
         value, err = _half_power_limit(partials, order=14)
     converged = err <= cfg.rel_tol * max(1.0, abs(value))
@@ -452,6 +483,43 @@ def variogram_diagonal(s: int) -> float:
     return 4.0 / math.pi * math.fsum(1.0 / (2 * k + 1) for k in range(s))
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(n)
+
+
+def variogram_reduced(lag: Lag) -> VariogramResult:
+    """Quarter-point variogram from the reduced 1-D integral.
+
+    Integrating the defining double integral over ``y`` in closed form
+    (Gradshteyn & Ryzhik 3.613.2) leaves, with ``h = sin(x/2)``,
+    ``nu = (1/pi) INT_0^pi [2 sin^2(sx/2) - cos(sx) expm1(-2t asinh h)]
+    / (h sqrt(1 + h^2)) dx``, whose integrand is analytic on [0, pi]
+    (the 0/0 at x = 0 is removable and no node reaches it).  It is
+    integrated on ``2(s+t+1)`` equal panels with 16- and 32-point
+    Gauss-Legendre rules; the 32-point value is returned, and the error
+    bar is the difference of the two plus a rounding term
+    ``16 eps sum|w f| / pi``.
+    """
+    s, t = lag.s, lag.t
+    panels = 2 * (s + t + 1)
+    half = 0.5 * math.pi / panels
+    mid = (2.0 * np.arange(panels)[:, None] + 1.0) * half
+    sums = []
+    for order in _GL_ORDERS:
+        nodes, weights = _gauss_legendre(order)
+        x = mid + half * nodes
+        h = np.sin(0.5 * x)
+        numerator = 2.0 * np.sin(0.5 * s * x) ** 2 - np.cos(s * x) * np.expm1(
+            -2.0 * t * np.arcsinh(h)
+        )
+        wf = half * weights * numerator / (h * np.sqrt(1.0 + h * h))
+        sums.append((float(wf.sum()) / math.pi, float(np.abs(wf).sum()) / math.pi))
+    (q_low, _), (q_high, magnitude) = sums
+    est = abs(q_high - q_low) + _GL_ROUNDING_OPS * math.ulp(1.0) * magnitude
+    return VariogramResult(_finalize_value(q_high, est), Method.REDUCED_QUAD, est, {})
+
+
 # ---------------------------------------------------------------------------
 # Dispatch
 # ---------------------------------------------------------------------------
@@ -464,7 +532,7 @@ def variogram(c: CoeffPair, lag: Lag, cfg: EvalConfig | None = None) -> Variogra
         if lag.s == lag.t:
             value = variogram_diagonal(lag.s)
             return VariogramResult(value, Method.DIAGONAL_CLOSED, 5e-16 * max(1.0, value), {})
-        return variogram_symmetric(lag, cfg)
+        return variogram_reduced(lag)
     if c.regime is Regime.EDGE:
         if c.a <= 0.0 or c.b <= 0.0:
             raise DomainError("boundary evaluation requires positive coefficients")

@@ -7,6 +7,7 @@ rational arithmetic for terminating sums.
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -144,6 +145,48 @@ def gauss_2f1_direct(a, b, c, z, tol=1e-18, n_max=100_000):
         if abs(term) < tol * max(1.0, abs(total)):
             break
     return total
+
+
+@lru_cache(maxsize=None)
+def potential_kernel(nmax):
+    """Exact quarter-point variogram ``{(s, t): value}`` for ``s, t <= nmax``.
+
+    At ``a = b = 1/4`` the variogram is the potential kernel of simple
+    random walk on Z^2 (Spitzer, *Principles of Random Walk* section 15;
+    McCrea & Whipple 1940): harmonic away from the origin, with
+    ``nu(0,0) = 0``, ``nu(1,0) = 1`` and ``nu(n,n) = (4/pi) sum_{k<=n}
+    1/(2k-1)``.  Each value is kept as an exact pair ``(p, q)`` of
+    Fractions meaning ``p + q/pi``.  Column ``s = n + 1`` follows from
+    harmonicity at ``(n, t)``, with the reflections ``nu(n, -1) =
+    nu(n, 1)`` and ``nu(n, n+1) = nu(n+1, n)``.  The pairs are rounded to
+    doubles at 100 digits, far above their cancellation (about
+    ``0.77 nmax`` digits) for ``nmax`` up to about 100.
+    """
+    pq = {(0, 0): (Fraction(0), Fraction(0)), (1, 0): (Fraction(1), Fraction(0))}
+
+    def at(s, t):
+        return pq[(max(s, t), min(s, t))]
+
+    def combine(*terms):
+        return tuple(sum(c * v[i] for c, v in terms) for i in (0, 1))
+
+    diag_q = Fraction(0)
+    for n in range(1, nmax + 1):
+        diag_q += Fraction(4, 2 * n - 1)
+        pq[(n, n)] = (Fraction(0), diag_q)
+        if n == nmax:
+            break
+        for t in range(n):
+            pq[(n + 1, t)] = combine(
+                (4, at(n, t)), (-1, at(n - 1, t)), (-1, at(n, t + 1)), (-1, at(n, abs(t - 1)))
+            )
+        pq[(n + 1, n)] = combine((2, at(n, n)), (-1, at(n, n - 1)))
+    out = {}
+    with mp.workdps(100):
+        for (s, t), (p, q) in pq.items():
+            value = mp.mpf(p.numerator) / p.denominator + mp.mpf(q.numerator) / q.denominator / mp.pi
+            out[(s, t)] = out[(t, s)] = float(value)
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -21,3 +21,10 @@ def test_star_import():
     namespace: dict = {}
     exec("from iavar import *", namespace)
     assert set(iavar.__all__) <= set(namespace)
+
+
+def test_reduced_route_exported():
+    module = importlib.import_module("iavar.variogram")
+    assert "variogram_reduced" in module.__all__
+    assert "variogram_reduced" in iavar.__all__
+    assert iavar.variogram_reduced is module.variogram_reduced

@@ -44,6 +44,15 @@ class TestEval:
         assert record["value"] == pytest.approx(4.0 / math.pi, rel=1e-12)
         assert record["method"] in ("DiagonalClosed", "SymmetricClosed")
 
+    def test_symmetric_method_keeps_b_series(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "eval", "--a", "0.25", "--b", "0.25", "--s", "2", "--t", "1",
+            "--method", "symmetric",
+        )
+        assert code == 0
+        assert "method=SymmetricClosed" in out
+
     def test_exact_matches_quad_method(self, capsys):
         args = ["--a", "0.4848", "--b", "0.0132", "--s", "1", "--t", "0"]
         code1, out1, _ = run_cli(capsys, "eval", *args, "--method", "exact", "--json")
@@ -153,7 +162,7 @@ class TestVerify:
             "--tol", "1e-3",
         )
         assert code == 0
-        for name in ("symmetric", "diagonal-closed", "edge-abel", "quad", "bessel"):
+        for name in ("symmetric", "reduced", "diagonal-closed", "edge-abel", "quad", "bessel"):
             assert name in out
 
     def test_zero_lag_all_zero(self, capsys):
