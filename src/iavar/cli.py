@@ -111,7 +111,9 @@ def _eval_one(a, b, lag, method, cfg, quad_settings) -> OutputRecord:
     elif method in ("quad", "bessel"):
         oracle = quadrature_variogram if method == "quad" else bessel_laplace_variogram
         value = oracle(CoeffPair.from_ab(a, b), lag, quad_settings)
-        return _record(a, b, lag, value, method, quad_settings.abs_tol)
+        # The bound the oracles enforce: they raise when it is not met.
+        bound = max(quad_settings.abs_tol, quad_settings.rel_tol * abs(value))
+        return _record(a, b, lag, value, method, bound)
     else:  # pragma: no cover - argparse restricts choices
         raise DomainError(f"unknown method {method}")
     return _record(a, b, lag, res.value, res.method.value, res.est_error, res.diagnostics)

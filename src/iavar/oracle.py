@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
 
 from .errors import DomainError, OutOfRegionError, ToleranceNotReachedError
-from .variogram import CoeffPair, Lag
+from .variogram import EPS_EDGE, CoeffPair, Lag
 
 __all__ = [
     "QuadratureSettings",
@@ -40,6 +41,8 @@ __all__ = [
 
 # Subinterval limit of each adaptive quadrature call.
 _QUAD_LIMIT = 200
+# Gauss-Legendre order of each panel of the Laplace-transform route.
+_PANEL_ORDER = 24
 
 
 @dataclass(frozen=True)
@@ -180,8 +183,13 @@ def _ive_vec(n: int, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _panel_nodes(lo: float, hi: float, n_panels: int, order: int = 24):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+@lru_cache(maxsize=None)
+def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(_PANEL_ORDER)
+
+
+def _panel_nodes(lo: float, hi: float, n_panels: int):
+    nodes, weights = _panel_rule()
     edges = np.linspace(lo, hi, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
@@ -227,7 +235,7 @@ def bessel_laplace_i_st(c: CoeffPair, lag: Lag, q: QuadratureSettings | None = N
     a, b = abs(c.a), abs(c.b)
     sign = (-1.0 if c.a < 0.0 else 1.0) ** lag.s * (-1.0 if c.b < 0.0 else 1.0) ** lag.t
     gap = 1.0 - 2.0 * a - 2.0 * b
-    if gap <= 1e-9:
+    if abs(a + b - 0.5) <= EPS_EDGE:
         raise OutOfRegionError(
             "single-term Laplace integral diverges on the boundary; "
             "use the difference form"

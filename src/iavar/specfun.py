@@ -6,10 +6,13 @@ function with a zero argument, the zero-balanced 4F3 and the F4
 equal-argument reduction) in blocks of cumulative term ratios.
 
 The two-variable series (fourth- and second-kind Appell functions) are
-summed along anti-diagonals ``j + k = n``: the shared rising factorials
-along a diagonal give a single-index stopping rule, and successive terms
-are built from closed-form term ratios so magnitudes stay O(1) even when
-thousands of diagonals are needed.
+cases of one double series whose upper parameters rise with ``n = j + k``,
+with ``j`` or with ``k`` (Srivastava & Karlsson, 1985); one term class,
+``_DoubleTerms``, holds its log-gamma anchor and its term ratios for
+both.  It is summed along anti-diagonals ``j + k = n``: the shared rising
+factorials along a diagonal give a single-index stopping rule, and
+successive terms are built from closed-form term ratios so magnitudes
+stay O(1) even when thousands of diagonals are needed.
 
 Diagonals are computed in blocks of consecutive ``n``, one 2-D NumPy
 array per side of the peak.  Each diagonal is anchored at its
@@ -32,6 +35,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import (
+    ConvergenceError,
     DomainError,
     MaxTermsExceededError,
     OutOfRegionError,
@@ -59,6 +63,7 @@ _RATIO_CLAMP = 0.999
 _BLOCK_ELEMENTS = 8192
 # Fewest rows of a block, and narrowest window.
 _MIN_ROWS = 4
+_OVERFLOW = "double series: the sum exceeds the float range"
 
 
 @dataclass(frozen=True)
@@ -149,7 +154,10 @@ def digamma(x: float) -> float:
 
 
 def binomial(n: int, k: int) -> float:
-    """Binomial coefficient as a float; exact integer arithmetic underneath."""
+    """Binomial coefficient as a float; exact integer arithmetic underneath.
+
+    Raises ``OverflowError`` past the float range (from n = 1030 at k = n/2).
+    """
     if k < 0 or n < 0:
         raise DomainError("binomial arguments must be nonnegative")
     if k > n:
@@ -184,106 +192,66 @@ def _window(ratio, ns: np.ndarray, jstar: np.ndarray, width: int, step: int) -> 
 
 
 @dataclass
-class _F4Terms:
-    """Terms ``(alpha)_n (beta)_n x^j y^k / ((g1)_j (g2)_k j! k!)``, k = n - j.
+class _DoubleTerms:
+    """Terms ``prod(a)_n prod(b)_j prod(c)_k x^j y^k / ((g1)_j (g2)_k j! k!)``, k = n - j.
 
-    ``log_term`` anchors a diagonal; ``right`` and ``left`` are the
+    The upper parameters ``a``, ``b`` and ``c`` (tuples ``un``, ``uj`` and
+    ``uk``) rise with ``n``, ``j`` and ``k``: F4 is ``un = (alpha, beta)``,
+    F2 is ``un = (alpha,)``, ``uj = (beta1,)``, ``uk = (beta2,)``.
+    ``log_terms`` anchors diagonals; ``right`` and ``left`` are the
     ratios that step ``j`` up or down by one along diagonal ``n``.
     ``rho`` is the limit of the ratio of successive diagonal sums, the
     reciprocal of the radius of convergence along the ray (x, y).
     """
 
-    alpha: float
-    beta: float
+    un: tuple[float, ...]
+    uj: tuple[float, ...]
+    uk: tuple[float, ...]
     g1: float
     g2: float
     x: float
     y: float
+    rho: float
 
     def __post_init__(self) -> None:
         self.lnx, self.lny = math.log(self.x), math.log(self.y)
-        self.rho = (math.sqrt(self.x) + math.sqrt(self.y)) ** 2
-        self.lg0 = _lg(self.g1) + _lg(self.g2) - _lg(self.alpha) - _lg(self.beta)
+        self.lg0 = _lg(self.g1) + _lg(self.g2)
+        for a in self.un + self.uj + self.uk:
+            self.lg0 -= _lg(a)
 
-    def log_term(self, n: float, j: float) -> float:
-        k = n - j
-        return (
-            self.lg0
-            + _lg(self.alpha + n)
-            + _lg(self.beta + n)
-            + j * self.lnx
-            + k * self.lny
-            - _lg(self.g1 + j)
-            - _lg(self.g2 + k)
-            - _lg(j + 1.0)
-            - _lg(k + 1.0)
-        )
+    def log_terms(self, ns: list[float], js: list[float]) -> list[float]:
+        """Logs of the terms at ``(n, j)`` for each pair of ``ns`` and ``js``."""
+        out = [self.lg0] * len(ns)
+        for a in self.un:
+            out = [o + _lg(a + n) for o, n in zip(out, ns)]
+        for a in self.uj:
+            out = [o + _lg(a + j) for o, j in zip(out, js)]
+        for a in self.uk:
+            out = [o + _lg(a + (n - j)) for o, n, j in zip(out, ns, js)]
+        g1, g2, lnx, lny = self.g1, self.g2, self.lnx, self.lny
+        return [
+            o + j * lnx + (n - j) * lny
+            - _lg(g1 + j) - _lg(g2 + (n - j)) - _lg(j + 1.0) - _lg(n - j + 1.0)
+            for o, n, j in zip(out, ns, js)
+        ]
 
     def right(self, n, js):
         g1, g2 = self.g1, self.g2
-        return self.x * (n - js) * (g2 + n - js - 1.0) / (self.y * (js + 1.0) * (g1 + js))
+        out = self.x * (n - js) * (g2 + n - js - 1.0) / (self.y * (js + 1.0) * (g1 + js))
+        for a in self.uj:
+            out = out * (a + js)
+        for a in self.uk:
+            out = out / (a + n - js - 1.0)
+        return out
 
     def left(self, n, js):
         g1, g2 = self.g1, self.g2
-        return self.y * js * (g1 + js - 1.0) / (self.x * (n - js + 1.0) * (g2 + n - js))
-
-
-@dataclass
-class _F2Terms:
-    """Terms ``(alpha)_n (b1)_j (b2)_k x^j y^k / ((g1)_j (g2)_k j! k!)``, k = n - j.
-
-    Same interface as :class:`_F4Terms`.
-    """
-
-    alpha: float
-    b1: float
-    b2: float
-    g1: float
-    g2: float
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        self.lnx, self.lny = math.log(self.x), math.log(self.y)
-        self.rho = self.x + self.y
-        self.lg0 = (
-            _lg(self.g1) + _lg(self.g2) - _lg(self.alpha) - _lg(self.b1) - _lg(self.b2)
-        )
-
-    def log_term(self, n: float, j: float) -> float:
-        k = n - j
-        return (
-            self.lg0
-            + _lg(self.alpha + n)
-            + _lg(self.b1 + j)
-            + _lg(self.b2 + k)
-            + j * self.lnx
-            + k * self.lny
-            - _lg(self.g1 + j)
-            - _lg(self.g2 + k)
-            - _lg(j + 1.0)
-            - _lg(k + 1.0)
-        )
-
-    def right(self, n, js):
-        b1, b2, g1, g2 = self.b1, self.b2, self.g1, self.g2
-        return (
-            self.x
-            * (b1 + js)
-            * (n - js)
-            * (g2 + n - js - 1.0)
-            / (self.y * (b2 + n - js - 1.0) * (g1 + js) * (js + 1.0))
-        )
-
-    def left(self, n, js):
-        b1, b2, g1, g2 = self.b1, self.b2, self.g1, self.g2
-        return (
-            self.y
-            * (b2 + n - js)
-            * js
-            * (g1 + js - 1.0)
-            / (self.x * (b1 + js - 1.0) * (g2 + n - js) * (n - js + 1.0))
-        )
+        out = self.y * js * (g1 + js - 1.0) / (self.x * (n - js + 1.0) * (g2 + n - js))
+        for a in self.uj:
+            out = out / (a + js - 1.0)
+        for a in self.uk:
+            out = out * (a + n - js)
+        return out
 
 
 def _pfq_series(
@@ -340,14 +308,15 @@ def _pfq_series(
         block = min(block * 2, 16384)
 
 
-def _double_series(terms: _F4Terms | _F2Terms, rel_tol: float, max_terms: int) -> SeriesValue:
+def _double_series(terms: _DoubleTerms, rel_tol: float, max_terms: int) -> SeriesValue:
     """Anti-diagonal summation of a double series with positive terms.
 
-    ``terms`` needs x, y > 0 and positive parameters, so that every term
-    is positive and each diagonal is unimodal in ``j``.
+    ``terms`` (a :class:`_DoubleTerms`, for F4 or F2) needs x, y > 0 and
+    positive parameters, so that every term is positive and each diagonal
+    is unimodal in ``j``.
 
     Diagonals are summed in blocks of consecutive rows ``n``.  Each row is
-    anchored at ``jstar = round(px * n)`` through ``terms.log_term``; the
+    anchored at ``jstar = round(px * n)`` through ``terms.log_terms``; the
     terms right and left of the anchor come from cumulative products of
     the ``terms.right`` / ``terms.left`` ratios over a window of columns
     shared by the block.  If some row's outermost window term is still at
@@ -365,7 +334,8 @@ def _double_series(terms: _F4Terms | _F2Terms, rel_tol: float, max_terms: int) -
     diagonal sums, but never below ``terms.rho``, the limit of that ratio:
     a ratio still rising towards ``rho`` would make the tail fall short.
     ``terms_used`` counts, per diagonal, the anchor and the terms at or
-    above ``cutoff`` times the diagonal's largest term.
+    above ``cutoff`` times the diagonal's largest term.  A sum past the
+    float range raises :class:`ConvergenceError`.
     """
     px = math.sqrt(terms.x) / (math.sqrt(terms.x) + math.sqrt(terms.y))
     cutoff = max(1e-18, rel_tol * 1e-4)
@@ -392,9 +362,10 @@ def _double_series(terms: _F4Terms | _F2Terms, rel_tol: float, max_terms: int) -
                 rwidth *= 2
             if short_l:
                 lwidth *= 2
-        anchor = np.array(
-            [math.exp(terms.log_term(m, j)) for m, j in zip(ns.tolist(), jstar.tolist())]
-        )
+        try:
+            anchor = np.array([math.exp(v) for v in terms.log_terms(ns.tolist(), jstar.tolist())])
+        except OverflowError as exc:
+            raise ConvergenceError(_OVERFLOW) from exc
         cut = cut[:, None]
         kept_r = (right >= cut).sum(axis=1)
         kept_l = (left >= cut).sum(axis=1)
@@ -409,6 +380,8 @@ def _double_series(terms: _F4Terms | _F2Terms, rel_tol: float, max_terms: int) -
                 r = max(min(r, _RATIO_CLAMP), terms.rho)
                 tail = diag / (1.0 - r)
                 if tail <= rel_tol * max(1.0, total):
+                    if total == math.inf:
+                        raise ConvergenceError(_OVERFLOW)
                     return SeriesValue(total, nterms, tail, True)
             if nterms > max_terms:
                 raise MaxTermsExceededError(
@@ -436,7 +409,8 @@ def _double_series(terms: _F4Terms | _F2Terms, rel_tol: float, max_terms: int) -
 def appell_f4(p: F4Params, cfg: EvalConfig | None = None) -> SeriesValue:
     """Fourth-kind Appell double series inside sqrt(x) + sqrt(y) < 1."""
     cfg = cfg or DEFAULT_CONFIG
-    if math.sqrt(p.x) + math.sqrt(p.y) >= 1.0:
+    root = math.sqrt(p.x) + math.sqrt(p.y)
+    if root >= 1.0:
         raise OutOfRegionError(
             f"F4 series requires sqrt(x) + sqrt(y) < 1, got x={p.x}, y={p.y}"
         )
@@ -446,7 +420,7 @@ def appell_f4(p: F4Params, cfg: EvalConfig | None = None) -> SeriesValue:
         # One zero argument leaves a Gauss series in the other (both: 1).
         c = p.gamma1 if p.y == 0.0 else p.gamma2
         return _pfq_series((p.alpha, p.beta), (c,), p.x + p.y, cfg.rel_tol, cfg.max_terms)
-    terms = _F4Terms(p.alpha, p.beta, p.gamma1, p.gamma2, p.x, p.y)
+    terms = _DoubleTerms((p.alpha, p.beta), (), (), p.gamma1, p.gamma2, p.x, p.y, root**2)
     return _double_series(terms, cfg.rel_tol, cfg.max_terms)
 
 
@@ -474,7 +448,7 @@ def appell_f2(
         # One zero argument leaves a Gauss series in the other (both: 1).
         b, c = (beta1, gamma1) if y == 0.0 else (beta2, gamma2)
         return _pfq_series((alpha, b), (c,), x + y, cfg.rel_tol, cfg.max_terms)
-    terms = _F2Terms(alpha, beta1, beta2, gamma1, gamma2, x, y)
+    terms = _DoubleTerms((alpha,), (beta1,), (beta2,), gamma1, gamma2, x, y, x + y)
     return _double_series(terms, cfg.rel_tol, cfg.max_terms)
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
@@ -34,6 +35,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import (
+    ConvergenceError,
     DomainError,
     MaxTermsExceededError,
     NumericalConsistencyError,
@@ -197,7 +199,14 @@ def i_st(c: CoeffPair, lag: Lag, cfg: EvalConfig | None = None) -> SeriesValue:
     if c.regime is not Regime.INTERIOR:
         raise OutOfRegionError("interior decomposition requires |a| + |b| < 1/2")
     s, t = lag.s, lag.t
-    pref = binomial(s + t, s) * c.a**s * c.b**t
+    try:
+        pref = binomial(s + t, s) * c.a**s * c.b**t
+    except OverflowError:
+        # C(s+t, s) leaves the float range once s + t > 1029, but
+        # C(s+t, s) |a|^s |b|^t <= (|a| + |b|)^(s+t) < 1 does not.  That
+        # product may underflow where its product with F4 does not, so
+        # it is kept exact.
+        pref = math.comb(s + t, s) * Fraction(c.a) ** s * Fraction(c.b) ** t
     if pref == 0.0:
         return SeriesValue(0.0, 1, 0.0, True)
     f4 = _cached_f4(
@@ -211,6 +220,10 @@ def i_st(c: CoeffPair, lag: Lag, cfg: EvalConfig | None = None) -> SeriesValue:
         ),
         cfg,
     )
+    if isinstance(pref, Fraction):
+        value = float(pref * Fraction(f4.value))
+        tail = float(abs(pref) * Fraction(f4.tail_estimate))
+        return SeriesValue(value, f4.terms_used, tail, f4.converged)
     return SeriesValue(pref * f4.value, f4.terms_used, abs(pref) * f4.tail_estimate, f4.converged)
 
 
@@ -266,9 +279,9 @@ def variogram_edge(a: float, lag: Lag, cfg: EvalConfig | None = None) -> Variogr
         try:
             f00 = i_st(shrunk, Lag(0, 0), f4_cfg)
             fst = i_st(shrunk, lag, f4_cfg)
-        except MaxTermsExceededError as exc:
+        except ConvergenceError as exc:
             raise SlowConvergenceError(
-                f"edge path exhausted the term cap at theta={theta}"
+                f"edge path exhausted its series budget at theta={theta}: {exc}"
             ) from exc
         nus.append(f00.value - fst.value)
         tails.append(f00.tail_estimate + fst.tail_estimate)
@@ -296,7 +309,9 @@ def variogram_edge(a: float, lag: Lag, cfg: EvalConfig | None = None) -> Variogr
 
 def gamma_st(lag: Lag) -> float:
     """Gamma-ratio constant of the lag family: C(s+t, s) * pi / 4**(s+t)."""
-    return binomial(lag.order, lag.s) * math.pi / 4.0**lag.order
+    # Integer division keeps both factors in range at any lag; 4**(s+t)
+    # is a power of two, so the bits match C(s+t, s) * pi / 4.0**(s+t).
+    return math.comb(lag.order, lag.s) / 4**lag.order * math.pi
 
 
 def l_st(lag: Lag) -> float:

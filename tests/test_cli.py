@@ -83,6 +83,27 @@ class TestEval:
         assert code == 2
         assert "convergence" in err
 
+    def test_large_lag_exit_0(self, capsys):
+        code, out, err = run_cli(
+            capsys, "eval", "--a", "0.2", "--b", "0.1", "--s", "600", "--t", "600"
+        )
+        assert code == 0, err
+        assert "value=1.12660787" in out
+
+    @pytest.mark.parametrize("method", ["quad", "bessel"])
+    def test_oracle_error_bar_is_enforced_bound(self, capsys, method):
+        # The oracles certify max(abs_tol, rel_tol |value|), which exceeds
+        # abs_tol once |value| > 1.
+        code, out, _ = run_cli(
+            capsys,
+            "eval", "--a", "0.2", "--b", "0.1", "--s", "3", "--t", "3",
+            "--method", method, "--tol", "1e-6", "--json",
+        )
+        assert code == 0
+        record = json.loads(out)
+        assert record["value"] > 1.0
+        assert record["est_error"] == 1e-6 * record["value"]
+
     def test_method_constraints(self, capsys):
         code, _, err = run_cli(
             capsys,

@@ -15,7 +15,7 @@ from iavar.oracle import (
     bessel_laplace_variogram,
     quadrature_variogram,
 )
-from iavar.variogram import CoeffPair, Lag
+from iavar.variogram import EPS_EDGE, CoeffPair, Lag, Regime
 
 
 class TestSettings:
@@ -151,6 +151,13 @@ class TestLaplaceRoute:
     def test_single_form_rejects_edge(self):
         with pytest.raises(OutOfRegionError):
             bessel_laplace_i_st(CoeffPair.from_ab(0.25, 0.25), Lag(1, 0))
+
+    def test_single_form_rejects_edge_band(self):
+        # The boundary band of CoeffPair.regime, not half of it.
+        pair = CoeffPair(0.3, 0.2 - 0.75 * EPS_EDGE)
+        assert pair.regime is Regime.EDGE
+        with pytest.raises(OutOfRegionError):
+            bessel_laplace_i_st(pair, Lag(1, 0))
 
     def test_difference_form_zero_lag(self):
         assert bessel_laplace_variogram(CoeffPair.from_ab(0.2, 0.1), Lag(0, 0)) == 0.0

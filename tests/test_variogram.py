@@ -7,8 +7,8 @@ import mpmath as mp
 import pytest
 
 from iavar.config import EvalConfig
-from iavar.errors import DomainError, OutOfRegionError, PoleInTermError
-from iavar.oracle import bessel_laplace_i_st, quadrature_variogram
+from iavar.errors import ConvergenceError, DomainError, OutOfRegionError, PoleInTermError
+from iavar.oracle import bessel_laplace_i_st, bessel_laplace_variogram, quadrature_variogram
 from iavar.specfun import EULER_GAMMA, digamma
 from iavar.variogram import (
     CoeffPair,
@@ -158,6 +158,26 @@ class TestEdgePath:
             variogram_edge(0.0, Lag(1, 0))
         with pytest.raises(DomainError):
             variogram_edge(0.5, Lag(1, 0))
+
+
+class TestLargeLags:
+    """Past s + t = 1029, C(s+t, s) leaves the float range."""
+
+    def test_interior_matches_both_oracles(self):
+        pair, lag = CoeffPair(0.2, 0.1), Lag(600, 600)
+        res = variogram(pair, lag)
+        for oracle in (quadrature_variogram, bessel_laplace_variogram):
+            assert abs(res.value - oracle(pair, lag)) <= res.est_error + 1e-9
+
+    def test_gamma_st_against_mpmath(self):
+        with mp.workdps(30):
+            want = mp.binomial(600, 300) * mp.pi / mp.mpf(4) ** 600
+        assert gamma_st(Lag(300, 300)) == pytest.approx(float(want), rel=1e-13)
+
+    def test_edge_refuses_unresolvable_lag(self):
+        # The offsets theta >= 1e-3 cannot resolve a lag of 600.
+        with pytest.raises(ConvergenceError):
+            variogram_edge(0.3, Lag(600, 600))
 
 
 class TestSharedF4Cache:
