@@ -3,6 +3,7 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 import scipy.special
 
@@ -48,6 +49,21 @@ class TestModifiedBessel:
         lhs = ive(n - 1, x) - ive(n + 1, x)
         rhs = 2.0 * n / x * ive(n, x)
         assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-11)
+
+    @pytest.mark.parametrize("n", range(65))
+    def test_against_mpmath_every_order(self, n):
+        # Both sides of each branch switch: 30, n^2 and 650; then far out,
+        # and seeded draws over the whole range.
+        fixed = [0.0, 1e-3, 0.5, 2.0, 10.0, 29.9, 30.0, 100.0, 400.0, 649.9, 650.0,
+                 650.5, 651.0, 700.0, 900.0, 1200.0, 5e3, 2e4, 1e5]
+        near_n2 = [n * n * f for f in (0.999, 1.0, 1.001)]
+        drawn = 10.0 ** np.random.default_rng(n).uniform(-2.0, 5.0, 12)
+        xs = np.array(sorted({x for x in [*fixed, *near_n2, *drawn] if x <= 1e5}))
+        got = _ive_vec(n, xs)
+        with mp.workdps(40):
+            want = [float(mp.besseli(n, x) * mp.exp(-x)) for x in xs]
+        for x, g, w in zip(xs, got, want):
+            assert abs(g - w) <= 1e-14 * abs(w), (n, x, g, w)
 
 
 class TestQuadrature:
@@ -126,6 +142,15 @@ class TestReducedIntegral:
             )
             assert abs(got - want) <= err + 4.0 * math.ulp(want)
 
+    def test_exact_gap_within_error_estimate(self):
+        # 1 - 2a - 2b rounded in floating point is off by 4.2e-17 here,
+        # which moves the value by 2.6e-13.
+        a, b = 0.0536, 0.4464 - 5e-7
+        got, err = _quadrature_variogram_impl(
+            CoeffPair(a, b), Lag(20, 15), QuadratureSettings(1e-12, 1e-12)
+        )
+        assert abs(got - reduced_integral(a, b, 20, 15)) <= err
+
     @pytest.mark.parametrize(
         "a,b,s,t",
         [
@@ -165,6 +190,32 @@ class TestLaplaceRoute:
     def test_difference_form_edge_value(self):
         got = bessel_laplace_variogram(CoeffPair.from_ab(0.25, 0.25), Lag(1, 1))
         assert got == pytest.approx(4.0 / math.pi, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "s,t,want",
+        [(40, 0, 3.3748869509611), (60, 0, 3.6383698009919), (500, 500, 5.313710559741011)],
+    )
+    def test_difference_form_large_boundary_lags(self, s, t, want):
+        q = QuadratureSettings()
+        got = bessel_laplace_variogram(CoeffPair(0.3, 0.2), Lag(s, t), q)
+        assert abs(got - want) <= max(q.abs_tol, q.rel_tol * want)
+
+    @pytest.mark.parametrize(
+        "a,b,s,t",
+        [
+            # gaps 1e-6 and 1e-8 at direction share 0.6
+            *((0.6 * h, h - 0.6 * h, s, t)
+              for h in ((1.0 - 1e-6) / 2.0, (1.0 - 1e-8) / 2.0)
+              for s, t in ((1, 0), (1, 1), (2, 1), (2, 2))),
+            (0.0536, 0.4464 - 5e-7, 20, 15),
+        ],
+    )
+    def test_difference_form_near_boundary(self, a, b, s, t):
+        # The u = 1/x tail has a feature at u ~ gap that equal panels
+        # miss, and a rounded gap moves the value by more than 1e-12.
+        q = QuadratureSettings(1e-12, 1e-12)
+        got = bessel_laplace_variogram(CoeffPair(a, b), Lag(s, t), q)
+        assert abs(got - reduced_integral(a, b, s, t)) <= max(q.abs_tol, q.rel_tol * abs(got))
 
     def test_oracle_self_consistency(self):
         # the two oracles share no numerical kernel; agreement localizes bugs
