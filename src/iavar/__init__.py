@@ -1,12 +1,14 @@
 """Exact lag-(s,t) variograms of first-order intrinsic autoregressions.
 
 The model lives on the 2-D square lattice with conditional-mean weights
-(a, b) on the horizontal/vertical neighbours.  The variogram of the lag
-difference is evaluated through Appell hypergeometric series in the
-interior of the coefficient region, an Abel-limit extrapolation on its
-boundary, and closed forms (the paper's) or a reduced one-dimensional
-integral (the default) at the symmetric quarter point; independent
-quadrature and Laplace-transform oracles provide ground truth.
+(a, b) on the horizontal/vertical neighbours.  By default the variogram
+of the lag difference is evaluated from its defining integral reduced to
+one dimension, on a fixed graded Gauss-Legendre rule, everywhere in the
+coefficient region.  The paper's constructions are kept as named
+methods: Appell hypergeometric series in the interior of the region, an
+Abel-limit extrapolation on its boundary, and closed forms at the
+symmetric quarter point.  Quadrature and Laplace-transform oracles
+provide ground truth.
 """
 
 from .config import DEFAULT_CONFIG, EvalConfig
@@ -55,6 +57,7 @@ from .variogram import (
     variogram_diagonal,
     variogram_edge,
     variogram_exact,
+    variogram_integral,
     variogram_reduced,
     variogram_symmetric,
     zero_balanced_4f3_near_unit,
@@ -93,6 +96,7 @@ __all__ = [
     "zero_balanced_4f3_near_unit",
     "variogram_symmetric",
     "variogram_diagonal",
+    "variogram_integral",
     "variogram_reduced",
     "variogram",
     "quadrature_variogram",

@@ -1,7 +1,7 @@
-"""Independent numerical ground truth for the variogram.
+"""Numerical ground truth for the variogram.
 
-Two routes that share no numerical kernel with the series evaluation
-(or with each other):
+Two routes that share no numerical kernel with the paper's series
+methods or with each other:
 
 * adaptive quadrature of the defining double integral over [0, pi]^2
   reduced to one dimension: the integral over y has a closed form
@@ -23,6 +23,12 @@ Both routes take the gap ``1 - 2a - 2b`` correctly rounded (``math.fsum``):
 near the boundary the rounded difference moves the value by more
 than the tolerance.
 
+The quadrature route integrates the same reduced integrand as
+:func:`iavar.variogram.variogram_integral`, the route ``variogram()``
+takes, on an adaptive rule instead of its fixed one.  It shares no code
+with it, but the reduction is common to both, so only the
+Laplace-transform route checks ``variogram()`` independently.
+
 The scaled Bessel kernel ``exp(-x) I_n(x)`` has two branches per order,
 split at ``min(max(30, n^2), 650)``: the power series below, and above
 it Hankel's large-argument expansion for orders up to 25 or Debye's
@@ -43,7 +49,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import DomainError, OutOfRegionError, ToleranceNotReachedError
-from .variogram import EPS_EDGE, CoeffPair, Lag
+from .variogram import EPS_EDGE, CoeffPair, Lag, _exact_gap
 
 __all__ = [
     "QuadratureSettings",
@@ -68,11 +74,6 @@ class QuadratureSettings:
     def __post_init__(self) -> None:
         if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
             raise DomainError("tolerances must be positive")
-
-
-def _exact_gap(a: float, b: float) -> float:
-    """``1 - 2a - 2b`` correctly rounded (``2a`` and ``2b`` are exact)."""
-    return math.fsum((1.0, -2.0 * a, -2.0 * b))
 
 
 def _quadrature_variogram_impl(

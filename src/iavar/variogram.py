@@ -1,18 +1,24 @@
 """Lag-(s,t) variogram of a first-order intrinsic autoregression.
 
-Five evaluation paths cover the admissible coefficient region:
+:func:`variogram` evaluates every admissible ``(a, b)`` with one route:
+
+* the defining double integral reduced to one dimension (its inner
+  integral in closed form) on a fixed, graded Gauss-Legendre rule,
+  :func:`variogram_integral`, over the interior, the boundary and
+  negative coefficients alike;
+* except diagonal lags at the quarter point (a = b = 1/4), which have an
+  elementary odd-harmonic closed form.
+
+The paper's constructions stay as named methods:
 
 * interior (|a| + |b| < 1/2): difference of two fourth-kind Appell
-  series evaluations;
+  series evaluations (:func:`variogram_exact`);
 * boundary (a + b = 1/2): Abel-limit approximation evaluated on a
-  schedule of interior offsets and extrapolated to the boundary;
-* symmetric quarter point (a = b = 1/4), the paper's construction:
-  closed form in terms of an expansion constant B given by a slowly
-  convergent series;
-* off-diagonal lags at the quarter point, as ``variogram`` evaluates
-  them: the defining double integral reduced to one dimension (its
-  inner integral in closed form) on a fixed Gauss-Legendre rule;
-* diagonal lags at the quarter point: an elementary odd-harmonic sum.
+  schedule of interior offsets and extrapolated to the boundary
+  (:func:`variogram_edge`);
+* symmetric quarter point: closed form in terms of an expansion
+  constant B given by a slowly convergent series
+  (:func:`variogram_symmetric`).
 
 The B series has terms decaying like ``k**-1.5`` (faster for larger
 lags), so direct truncation cannot certify tight tolerances.  Terms are
@@ -71,6 +77,7 @@ __all__ = [
     "zero_balanced_4f3_near_unit",
     "variogram_symmetric",
     "variogram_diagonal",
+    "variogram_integral",
     "variogram_reduced",
     "variogram",
 ]
@@ -84,6 +91,15 @@ EPS_SYM = 1e-14
 # Interior offsets of the boundary path, largest first.  Four points
 # let the extrapolation model carry the next-order remainder term.
 _THETA_SCHEDULE = (8e-3, 4e-3, 2e-3, 1e-3)
+# Largest lag the boundary path resolves, as a multiple of 1/sqrt(theta)
+# at the smallest offset, in the norm |x|_Q = sqrt(s^2/2a + t^2/2b) of the
+# boundary walk's covariance.  At offset theta the interior variogram
+# saturates past lags of about 1/sqrt(theta) in that norm, and the fit
+# in theta stops seeing the lag.  Against the reduced integral, over
+# a = 0.1, 0.25, 0.3, 0.45 and lags along five directions, error/bar
+# depends on sqrt(theta_min) |x|_Q alone: 0.2 at 1, 0.47 at 2 and 1 at
+# about 3.5.
+_EDGE_MAX_REACH = 2.0
 # Exactly computed leading terms of the expansion-constant series
 # before the half-power tail elimination takes over, and the working
 # precision of that elimination.
@@ -95,6 +111,9 @@ _GL_ORDERS = (16, 32)
 # Rounded floating-point operations per integrand value, which scale
 # the rounding term of the reduced integral's error bar.
 _GL_ROUNDING_OPS = 16
+# Panels of the reduced integral evaluated per array operation; larger
+# lags take more blocks, not larger arrays.
+_PANEL_BLOCK = 256
 
 
 class Regime(Enum):
@@ -164,6 +183,11 @@ class VariogramResult:
     method: Method
     est_error: float
     diagnostics: dict[str, SeriesValue] = field(default_factory=dict)
+
+
+def _exact_gap(a: float, b: float) -> float:
+    """``1 - 2a - 2b`` correctly rounded (``2a`` and ``2b`` are exact)."""
+    return math.fsum((1.0, -2.0 * a, -2.0 * b))
 
 
 def _finalize_value(raw: float, est_error: float) -> float:
@@ -259,6 +283,10 @@ def variogram_edge(a: float, lag: Lag, cfg: EvalConfig | None = None) -> Variogr
     the four-point fit also removes the next-order ``theta**2 log theta``
     term, and its spread against the three-point fit on the smallest
     offsets is reported as the extrapolation residual.
+
+    The offsets resolve lags up to ``2 / sqrt(1e-3)`` in the norm
+    ``sqrt(s^2/2a + t^2/2b)``; larger lags raise
+    :class:`SlowConvergenceError`.
     """
     cfg = cfg or DEFAULT_CONFIG
     if not (0.0 < a < 0.5):
@@ -266,6 +294,11 @@ def variogram_edge(a: float, lag: Lag, cfg: EvalConfig | None = None) -> Variogr
     if lag.s == 0 and lag.t == 0:
         return VariogramResult(0.0, Method.EDGE_ABEL, 0.0, {})
     b = 0.5 - a
+    reach = math.hypot(lag.s / math.sqrt(2.0 * a), lag.t / math.sqrt(2.0 * b))
+    if reach * math.sqrt(_THETA_SCHEDULE[-1]) > _EDGE_MAX_REACH:
+        raise SlowConvergenceError(
+            f"the boundary offsets cannot resolve lag ({lag.s}, {lag.t}) at a = {a}"
+        )
     nus: list[float] = []
     tails: list[float] = []
     diagnostics: dict[str, SeriesValue] = {}
@@ -499,40 +532,131 @@ def variogram_diagonal(s: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
+def _gauss_legendre_pair() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of both rules of ``_GL_ORDERS`` on [-1, 1], concatenated.
+
+    One array operation then serves both rules; the first
+    ``_GL_ORDERS[0]`` columns belong to the lower order.
+    """
+    pair = tuple(
+        np.concatenate(v) for v in zip(*(np.polynomial.legendre.leggauss(n) for n in _GL_ORDERS))
+    )
+    for arr in pair:
+        arr.setflags(write=False)  # shared by every caller through the cache
+    return pair
+
+
+def _panel_edges(knee: float, panels: int) -> np.ndarray:
+    """Panel edges on [0, pi], at most ``width = pi / panels`` apart, graded toward 0.
+
+    The edges are 0, ``min(knee, width)``, and then each next edge is
+    ``min(2x, x + width, pi)``: panels double until they reach the
+    width, then keep it.  When ``knee`` is 0 or at least pi there is no
+    scale to resolve, and the edges are ``panels`` equal panels.
+    """
+    if not 0.0 < knee < math.pi:
+        return np.linspace(0.0, math.pi, panels + 1)
+    width = math.pi / panels
+    first = min(knee, width)
+    doublings = 0 if first >= width else math.floor(math.log2(width / first)) + 1
+    head = first * np.exp2(np.arange(doublings + 1.0))
+    steps = math.ceil((math.pi - head[-1]) / width)
+    tail = head[-1] + width * np.arange(1.0, steps)
+    edges = np.concatenate(([0.0], head, tail))
+    return edges if edges[-1] >= math.pi else np.append(edges, math.pi)
+
+
+def variogram_integral(c: CoeffPair, lag: Lag) -> VariogramResult:
+    """Variogram from the defining integral reduced to one dimension.
+
+    Integrating the defining double integral over ``y`` in closed form
+    (Gradshteyn & Ryzhik 3.613.2) leaves
+    ``nu = (1/pi) INT_0^pi [2 sin^2(sx/2) - cos(sx) expm1(t log rho)]
+    / sqrt(D- D+) dx`` on ``|a|, |b|``, with ``D- = gap + 4|a| sin^2(x/2)``,
+    ``D+ = D- + 4|b|`` and ``log rho = -log1p((D- + sqrt(D- D+)) / 2|b|)``.
+    The gap ``1 - 2|a| - 2|b|`` is taken correctly rounded.  A negative
+    coefficient is the substitution ``x -> pi - x`` (or ``y -> pi - y``):
+    where ``(-1)^(s [a<0] + t [b<0])`` is -1 the numerator is 2 minus
+    the one above.
+
+    The rule is fixed: 16- and 32-point Gauss-Legendre on panels whose
+    edges are graded toward 0 on the scale ``sqrt(gap/|a|)``, where the
+    integrand varies near the boundary, and that are at most
+    ``pi / (2(s+t+1))`` wide, so each resolves a fixed share of an
+    oscillation.  The 32-point value is returned, and the error bar is
+    the difference of the two plus a rounding term
+    ``16 eps sum|w f| / pi``.  Panels are summed in blocks of a fixed
+    size, so the memory of a call does not grow with the lag.
+
+    On the boundary (``|a| + |b| >= 1/2``, where the gap is taken as 0)
+    the integral diverges, and :class:`DomainError` is raised, when the
+    sign above is -1, when ``b = 0`` and ``t > 0``, or when ``a = 0`` and
+    ``s > 0``.  Every other admissible input returns a value; there is
+    no series and no term cap.
+    """
+    s, t = lag.s, lag.t
+    if s == 0 and t == 0:
+        return VariogramResult(0.0, Method.REDUCED_QUAD, 0.0, {})
+    flip = (s % 2 == 1 and c.a < 0.0) != (t % 2 == 1 and c.b < 0.0)
+    a, b = abs(c.a), abs(c.b)
+    gap = max(0.0, _exact_gap(a, b))
+    if gap == 0.0:
+        if flip or (b == 0.0 and t > 0) or (a == 0.0 and s > 0):
+            raise DomainError(
+                f"the variogram diverges on the boundary at a = {c.a}, b = {c.b}, "
+                f"lag ({s}, {t})"
+            )
+        if a == 0.0:
+            # D- vanishes identically; the integrand's limit is t / 2|b|.
+            value = t / (2.0 * b)
+            return VariogramResult(value, Method.REDUCED_QUAD, math.ulp(value), {})
+    knee = math.sqrt(gap / a) if a > 0.0 else math.inf
+    edges = _panel_edges(knee, 2 * (s + t + 1))
+    nodes, weights = _gauss_legendre_pair()
+    low = _GL_ORDERS[0]
+    q_low = q_high = magnitude = 0.0
+    for lo in range(0, len(edges) - 1, _PANEL_BLOCK):
+        block = edges[lo : lo + _PANEL_BLOCK + 1]
+        half = 0.5 * (block[1:] - block[:-1])[:, None]
+        x = 0.5 * (block[1:] + block[:-1])[:, None] + half * nodes
+        h = np.sin(0.5 * x)
+        d_minus = gap + 4.0 * a * h * h
+        d_plus = d_minus + 4.0 * b
+        if gap > 0.0:
+            root = np.sqrt(d_minus * d_plus)
+        else:
+            # sqrt(D-) = 2 sqrt(|a|) h, which stays in range where D- underflows.
+            root = (2.0 * math.sqrt(a)) * h * np.sqrt(d_plus)
+        hs = np.sin(0.5 * s * x)
+        numerator = 2.0 * hs * hs
+        if t > 0:
+            cos_sx = 1.0 - numerator
+            if b == 0.0:
+                numerator += cos_sx  # rho = 0
+            else:
+                numerator -= cos_sx * np.expm1(-t * np.log1p((d_minus + root) * (0.5 / b)))
+        if flip:
+            numerator = 2.0 - numerator
+        wf = half * weights * numerator / root
+        q_low += float(wf[:, :low].sum())
+        q_high += float(wf[:, low:].sum())
+        magnitude += float(np.abs(wf[:, low:]).sum())
+    q_low, q_high, magnitude = q_low / math.pi, q_high / math.pi, magnitude / math.pi
+    est = abs(q_high - q_low) + _GL_ROUNDING_OPS * math.ulp(1.0) * magnitude
+    return VariogramResult(_finalize_value(q_high, est), Method.REDUCED_QUAD, est, {})
 
 
 def variogram_reduced(lag: Lag) -> VariogramResult:
     """Quarter-point variogram from the reduced 1-D integral.
 
-    Integrating the defining double integral over ``y`` in closed form
-    (Gradshteyn & Ryzhik 3.613.2) leaves, with ``h = sin(x/2)``,
-    ``nu = (1/pi) INT_0^pi [2 sin^2(sx/2) - cos(sx) expm1(-2t asinh h)]
-    / (h sqrt(1 + h^2)) dx``, whose integrand is analytic on [0, pi]
-    (the 0/0 at x = 0 is removable and no node reaches it).  It is
-    integrated on ``2(s+t+1)`` equal panels with 16- and 32-point
-    Gauss-Legendre rules; the 32-point value is returned, and the error
-    bar is the difference of the two plus a rounding term
-    ``16 eps sum|w f| / pi``.
+    :func:`variogram_integral` at ``a = b = 1/4``, where the gap is 0
+    and the rule's panels are ``2(s+t+1)`` equal ones.  With
+    ``h = sin(x/2)`` the integrand is
+    ``[2 sin^2(sx/2) - cos(sx) expm1(-2t asinh h)] / (h sqrt(1 + h^2))``,
+    analytic on [0, pi] (the 0/0 at x = 0 is removable and no node
+    reaches it).
     """
-    s, t = lag.s, lag.t
-    panels = 2 * (s + t + 1)
-    half = 0.5 * math.pi / panels
-    mid = (2.0 * np.arange(panels)[:, None] + 1.0) * half
-    sums = []
-    for order in _GL_ORDERS:
-        nodes, weights = _gauss_legendre(order)
-        x = mid + half * nodes
-        h = np.sin(0.5 * x)
-        numerator = 2.0 * np.sin(0.5 * s * x) ** 2 - np.cos(s * x) * np.expm1(
-            -2.0 * t * np.arcsinh(h)
-        )
-        wf = half * weights * numerator / (h * np.sqrt(1.0 + h * h))
-        sums.append((float(wf.sum()) / math.pi, float(np.abs(wf).sum()) / math.pi))
-    (q_low, _), (q_high, magnitude) = sums
-    est = abs(q_high - q_low) + _GL_ROUNDING_OPS * math.ulp(1.0) * magnitude
-    return VariogramResult(_finalize_value(q_high, est), Method.REDUCED_QUAD, est, {})
+    return variogram_integral(CoeffPair(0.25, 0.25), lag)
 
 
 # ---------------------------------------------------------------------------
@@ -541,15 +665,16 @@ def variogram_reduced(lag: Lag) -> VariogramResult:
 
 
 def variogram(c: CoeffPair, lag: Lag, cfg: EvalConfig | None = None) -> VariogramResult:
-    """Evaluate the variogram with the method matching the regime."""
-    cfg = cfg or DEFAULT_CONFIG
-    if c.regime is Regime.SYMMETRIC_QUARTER:
-        if lag.s == lag.t:
-            value = variogram_diagonal(lag.s)
-            return VariogramResult(value, Method.DIAGONAL_CLOSED, 5e-16 * max(1.0, value), {})
-        return variogram_reduced(lag)
-    if c.regime is Regime.EDGE:
-        if c.a <= 0.0 or c.b <= 0.0:
-            raise DomainError("boundary evaluation requires positive coefficients")
-        return variogram_edge(c.a, lag, cfg)
-    return variogram_exact(c, lag, cfg)
+    """Evaluate the variogram anywhere in the admissible region.
+
+    Every input goes to the reduced integral (:func:`variogram_integral`),
+    except diagonal lags at the quarter point, which have an elementary
+    closed form (:func:`variogram_diagonal`).  Neither is a series, so
+    ``cfg`` has no effect here; it sets the tolerance and term cap of the
+    paper's named methods, :func:`variogram_exact`,
+    :func:`variogram_edge` and :func:`variogram_symmetric`.
+    """
+    if c.regime is Regime.SYMMETRIC_QUARTER and lag.s == lag.t:
+        value = variogram_diagonal(lag.s)
+        return VariogramResult(value, Method.DIAGONAL_CLOSED, 5e-16 * max(1.0, value), {})
+    return variogram_integral(c, lag)

@@ -147,6 +147,65 @@ def gauss_2f1_direct(a, b, c, z, tol=1e-18, n_max=100_000):
     return total
 
 
+def reduced_integral(a, b, s, t, dps=30):
+    """The variogram by mpmath: the defining integral, its y integral in closed form.
+
+    ``(1/pi) int_0^pi (1 - sigma cos(sx) rho**t) / sqrt(D- D+) dx`` on
+    ``|a|, |b|``, with ``D- = gap + 4|a| sin^2(x/2)``, ``D+ = D- + 4|b|``,
+    ``rho = 2|b| / (D- + 2|b| + sqrt(D- D+))`` and
+    ``sigma = (-1)^(s [a<0] + t [b<0])`` (the substitutions
+    ``x -> pi - x`` and ``y -> pi - y``).  The gap ``1 - 2|a| - 2|b|`` of
+    the float inputs is exact, clamped at 0.  Breakpoints split
+    ``[0, pi]`` into ``s + t + 1`` oscillation panels and grade toward 0
+    by factors of 4 from ``sqrt(gap / |a|) / 64``, the scale on which the
+    integrand varies near the boundary.  Raises if mpmath's own error
+    estimate exceeds ``10**-(dps - 5)`` of the value.
+    """
+    sigma = (-1) ** ((s if a < 0 else 0) + (t if b < 0 else 0))
+    a, b = abs(a), abs(b)
+    gap = max(Fraction(0), 1 - 2 * Fraction(a) - 2 * Fraction(b))
+    with mp.workdps(dps):
+        a, b = mp.mpf(a), mp.mpf(b)
+        gap = mp.mpf(gap.numerator) / gap.denominator
+
+        def f(x):
+            d_minus = gap + 4 * a * mp.sin(x / 2) ** 2
+            root = mp.sqrt(d_minus * (d_minus + 4 * b))
+            rho = 2 * b / (d_minus + 2 * b + root)
+            return (1 - sigma * mp.cos(s * x) * rho**t) / root
+
+        points = {mp.pi * k / (s + t + 1) for k in range(s + t + 2)}
+        if a > 0:
+            knee = mp.sqrt(gap / a) / 64
+            while 0 < knee < mp.pi:
+                points.add(knee)
+                knee *= 4
+        value, err = mp.quad(f, sorted(points), error=True)
+        if not err <= mp.mpf(10) ** (5 - dps) * abs(value):
+            raise RuntimeError(f"reduced_integral: error estimate {err} at {a}, {b}, {s}, {t}")
+        return float(value / mp.pi)
+
+
+def i00_closed_form(a, b, dps=40):
+    """``I_00 = 1 / (sqrt(d) AGM(1, sqrt(gap (2 - gap) / d)))`` as an mpf.
+
+    ``d = 1 - 4(|a| - |b|)^2`` and the gap ``1 - 2|a| - 2|b|`` of the float
+    inputs is exact; ``1 - m = gap (2 - gap) / d`` for the modulus
+    ``m = 16|ab| / d`` of ``I_00 = 2 K(m) / (pi sqrt(d))``, so nothing
+    cancels near the boundary, where the value is infinite.
+    """
+    a, b = abs(Fraction(a)), abs(Fraction(b))
+    gap = 1 - 2 * a - 2 * b
+    if gap <= 0:
+        return mp.inf
+    d = 1 - 4 * (a - b) ** 2
+    ratio = gap * (2 - gap) / d
+    with mp.workdps(dps):
+        d = mp.mpf(d.numerator) / d.denominator
+        ratio = mp.mpf(ratio.numerator) / ratio.denominator
+        return 1 / (mp.sqrt(d) * mp.agm(1, mp.sqrt(ratio)))
+
+
 @lru_cache(maxsize=None)
 def potential_kernel(nmax):
     """Exact quarter-point variogram ``{(s, t): value}`` for ``s, t <= nmax``.

@@ -35,6 +35,8 @@ from iavar.variogram import (
     i_st,
 )
 
+from conftest import i00_closed_form
+
 GRID_COEFFS = [0.05, 0.10, 0.15, 0.20]
 
 
@@ -213,6 +215,24 @@ def test_criterion_07_f4_f2_transformation(rng):
     print(
         f"\nPASS criterion 7: F4/F2 transformation on 50 draws, "
         f"worst relative diff {worst:.2e} (<=1e-9)"
+    )
+
+
+def test_i00_closed_form_against_f4():
+    # The paper's s = t = 0 particular case: F4 at the origin is the
+    # complete elliptic integral, 1 / (sqrt(d) AGM(1, sqrt(gap(2 - gap)/d))).
+    with runtime_budget(10.0):
+        worst = 0.0
+        for a, b in [(0.2, 0.1), (-0.15, 0.3), (0.1, -0.35), (-0.2, -0.25),
+                     (0.4848, 0.0132), (0.3, 0.1995)]:
+            f4 = i_st(CoeffPair(a, b), Lag(0, 0))
+            want = i00_closed_form(a, b)
+            diff = float(abs(f4.value - want))
+            assert diff <= f4.tail_estimate, (a, b, f4.value, want, f4.tail_estimate)
+            worst = max(worst, diff / f4.tail_estimate)
+    print(
+        f"\nPASS I_00 closed form: F4 at the origin within its tail estimate of the "
+        f"AGM on 6 pairs, worst diff/tail {worst:.2f} (<=1)"
     )
 
 

@@ -8,8 +8,8 @@ import math
 import pytest
 
 from iavar.cli import CSV_HEADER, main
-from iavar.oracle import quadrature_variogram
-from iavar.variogram import CoeffPair, Lag
+
+from conftest import reduced_integral
 
 
 def run_cli(capsys, *argv):
@@ -131,6 +131,15 @@ class TestTable:
         assert [(r[0], r[1]) for r in rows[1:]] == [
             ("0", "0"), ("0", "1"), ("1", "0"), ("1", "1"),
         ]
+        assert all(r[5] == "ReducedQuad" for r in rows[1:])
+        assert all(r[7] == "0" for r in rows[1:])  # no series terms under auto
+        code, out, _ = run_cli(
+            capsys,
+            "table", "--a", "0.2", "--b", "0.1", "--smax", "1", "--tmax", "1",
+            "--method", "exact",
+        )
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
         assert all(r[5] == "ExactF4" for r in rows[1:])
 
     def test_symmetric_column(self, capsys):
@@ -141,7 +150,7 @@ class TestTable:
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))[1:]
         assert float(rows[0][4]) == 0.0
-        ref = quadrature_variogram(CoeffPair.from_ab(0.25, 0.25), Lag(1, 0))
+        ref = reduced_integral(0.25, 0.25, 1, 0)
         assert float(rows[1][4]) == pytest.approx(ref, abs=1e-6)
 
     def test_csv_round_trip_bit_identical(self, capsys):
@@ -198,6 +207,8 @@ class TestVerify:
         # pair as a boundary point, the oracles included.
         args = ["--a", "0.3", "--b", "0.2000000005", "--s", "1", "--t", "0"]
         code, out, _ = run_cli(capsys, "eval", *args)
+        assert code == 0 and "ReducedQuad" in out
+        code, out, _ = run_cli(capsys, "eval", *args, "--method", "edge")
         assert code == 0 and "EdgeAbel" in out
         code, out, err = run_cli(capsys, "verify", *args, "--tol", "1e-3")
         assert code == 0, err

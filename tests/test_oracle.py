@@ -18,6 +18,8 @@ from iavar.oracle import (
 )
 from iavar.variogram import EPS_EDGE, CoeffPair, Lag, Regime
 
+from conftest import reduced_integral
+
 
 class TestSettings:
     def test_validation(self):
@@ -98,30 +100,6 @@ class TestQuadrature:
             v1, e1 = _quadrature_variogram_impl(pair, Lag(s, t), coarse)
             v2, _ = _quadrature_variogram_impl(pair, Lag(s, t), fine)
             assert abs(v2 - v1) <= max(e1, 1e-12)
-
-
-def reduced_integral(a, b, s, t, dps=30):
-    """The 1-D integral the quadrature oracle evaluates, by mpmath.
-
-    ``(1/pi) int_0^pi (1 - cos(sx) rho**t) / sqrt(D- D+) dx``, with the
-    y integral done in closed form; breakpoints bracket the scale
-    ``sqrt(gap / a)`` on which the integrand varies near the edge.
-    """
-    with mp.workdps(dps):
-        a, b = mp.mpf(a), mp.mpf(b)
-        gap = max(mp.mpf(0), 1 - 2 * a - 2 * b)
-
-        def f(x):
-            d_minus = gap + 4 * a * mp.sin(x / 2) ** 2
-            root = mp.sqrt(d_minus * (d_minus + 4 * b))
-            rho = 2 * b / (d_minus + 2 * b + root)
-            return (1 - mp.cos(s * x) * rho**t) / root
-
-        knee = mp.sqrt(gap / a)
-        points = [0, mp.pi]
-        if 0 < knee < 1:
-            points[1:1] = [knee / 100, knee, 10 * knee]
-        return float(mp.quad(f, points) / mp.pi)
 
 
 class TestReducedIntegral:

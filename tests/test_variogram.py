@@ -2,13 +2,28 @@
 
 import importlib
 import math
+import tracemalloc
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import Phase, assume, given, settings
+from hypothesis import strategies as st
 
 from iavar.config import EvalConfig
-from iavar.errors import ConvergenceError, DomainError, OutOfRegionError, PoleInTermError
-from iavar.oracle import bessel_laplace_i_st, bessel_laplace_variogram, quadrature_variogram
+from iavar.errors import (
+    ConvergenceError,
+    DomainError,
+    OutOfRegionError,
+    PoleInTermError,
+    SlowConvergenceError,
+)
+from iavar.oracle import (
+    QuadratureSettings,
+    bessel_laplace_i_st,
+    bessel_laplace_variogram,
+    quadrature_variogram,
+)
 from iavar.specfun import EULER_GAMMA, digamma
 from iavar.variogram import (
     CoeffPair,
@@ -30,7 +45,7 @@ from iavar.variogram import (
     zero_balanced_4f3_near_unit,
 )
 
-from conftest import potential_kernel
+from conftest import i00_closed_form, potential_kernel, reduced_integral
 
 LN4 = math.log(4.0)
 # The module, not the package's ``variogram`` function of the same name.
@@ -71,9 +86,12 @@ class TestTypes:
             pair.regime = Regime.EDGE
         assert pair.regime is Regime.INTERIOR
         res = variogram(pair, Lag(1, 0))
-        assert res.method is Method.EXACT_F4
-        assert res.value == pytest.approx(quadrature_variogram(pair, Lag(1, 0)), abs=1e-8)
+        assert res.method is Method.REDUCED_QUAD
+        assert res.value == pytest.approx(reduced_integral(0.1, 0.1, 1, 0), abs=1e-8)
         assert res.value == pytest.approx(0.9339, abs=1e-4)
+        exact = variogram_exact(pair, Lag(1, 0))
+        assert exact.method is Method.EXACT_F4
+        assert exact.value == pytest.approx(quadrature_variogram(pair, Lag(1, 0)), abs=1e-8)
 
 
 class TestIst:
@@ -164,10 +182,12 @@ class TestLargeLags:
     """Past s + t = 1029, C(s+t, s) leaves the float range."""
 
     def test_interior_matches_both_oracles(self):
+        # The Bessel-Laplace oracle, and the paper's F4 method by name.
         pair, lag = CoeffPair(0.2, 0.1), Lag(600, 600)
         res = variogram(pair, lag)
-        for oracle in (quadrature_variogram, bessel_laplace_variogram):
-            assert abs(res.value - oracle(pair, lag)) <= res.est_error + 1e-9
+        assert abs(res.value - bessel_laplace_variogram(pair, lag)) <= res.est_error + 1e-9
+        exact = variogram_exact(pair, lag)
+        assert abs(exact.value - quadrature_variogram(pair, lag)) <= exact.est_error + 1e-9
 
     def test_gamma_st_against_mpmath(self):
         with mp.workdps(30):
@@ -178,6 +198,52 @@ class TestLargeLags:
         # The offsets theta >= 1e-3 cannot resolve a lag of 600.
         with pytest.raises(ConvergenceError):
             variogram_edge(0.3, Lag(600, 600))
+
+    def test_edge_refuses_past_its_reach(self):
+        # i_st's prefactor underflows at (500, 500), so the fit saw I_00
+        # alone and returned 3.6787 +- 0.29 against 5.3137.
+        with pytest.raises(SlowConvergenceError):
+            variogram_edge(0.3, Lag(500, 500))
+
+    @pytest.mark.parametrize(
+        "a,lags",
+        [
+            (0.3, [(1, 0), (0, 1), (2, 1), (12, 0), (20, 20), (40, 0), (30, 30)]),
+            (0.1, [(1, 1), (5, 0), (0, 40), (25, 25)]),
+        ],
+    )
+    def test_edge_bar_bounds_below_its_reach(self, a, lags):
+        for s, t in lags:
+            edge = variogram_edge(a, Lag(s, t))
+            ref = variogram(CoeffPair(a, 0.5 - a), Lag(s, t))
+            assert abs(edge.value - ref.value) <= edge.est_error - ref.est_error, (s, t)
+
+    def test_reduced_rule_at_large_boundary_lag(self):
+        res = variogram(CoeffPair(0.3, 0.2), Lag(500, 500))
+        assert abs(res.value - 5.313710559741011) <= res.est_error
+
+    def test_near_boundary_past_f4_range(self):
+        # F4 alone passes the float range here, so --method exact refuses.
+        pair, lag = CoeffPair(0.3, 0.199), Lag(1500, 1500)
+        res = variogram(pair, lag)
+        q = QuadratureSettings()
+        ref = bessel_laplace_variogram(pair, lag, q)
+        assert abs(res.value - ref) <= res.est_error + max(q.abs_tol, q.rel_tol * abs(ref))
+        assert res.value == pytest.approx(2.6845541376782, abs=1e-12)
+
+    def test_memory_does_not_grow_with_lag(self):
+        # Panels are summed in blocks of a fixed size, which (100, 100)
+        # already fills; the whole (1500, 1500) rule at once peaks at
+        # 23 MB.  Only the panel edges (about 150 kB with their
+        # temporaries) grow.
+        pair = CoeffPair(0.3, 0.199)
+        peaks = []
+        for lag in (Lag(100, 100), Lag(1500, 1500)):
+            tracemalloc.start()
+            variogram(pair, lag)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 262144, peaks
 
 
 class TestSharedF4Cache:
@@ -406,6 +472,112 @@ class TestReducedQuarterPoint:
         assert res.value == 0.0 and res.method is Method.REDUCED_QUAD
 
 
+@st.composite
+def admissible_pairs(draw):
+    """(a, b) over the whole region: either sign, b = 0, gap 1e-12 to 0.5 or 0.
+
+    The gap is drawn; the one the program sees is that of the rounded
+    pair, which may round to the boundary or just past it.
+    """
+    gap = draw(st.one_of(st.just(0.0), st.floats(-12.0, -0.3).map(lambda e: 10.0**e)))
+    share = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+    total = (1.0 - gap) / 2.0
+    a = total * share
+    b = total - a
+    return (-a if draw(st.booleans()) else a, -b if draw(st.booleans()) else b)
+
+
+def _on_boundary(a, b):
+    return 1 - 2 * abs(Fraction(a)) - 2 * abs(Fraction(b)) <= 0
+
+
+class TestReducedRule:
+    """``variogram()`` on the reduced integral over the whole region."""
+
+    # No shrink phase: each example costs an mpmath integral of up to a
+    # second, and shrinking a failure took minutes; the failing example
+    # is reported as drawn.
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(admissible_pairs(), st.integers(0, 40), st.integers(0, 40))
+    def test_within_error_bar_of_mpmath(self, pair, s, t):
+        a, b = pair
+        c, lag = CoeffPair(a, b), Lag(s, t)
+        flip = (s % 2 == 1 and a < 0) != (t % 2 == 1 and b < 0)
+        if _on_boundary(a, b) and (flip or (b == 0 and t > 0) or (a == 0 and s > 0)):
+            with pytest.raises(DomainError):
+                variogram(c, lag)
+            return
+        res = variogram(c, lag)
+        if _on_boundary(a, b) and a == 0:
+            want = float(Fraction(t) / (2 * abs(Fraction(b))))  # the integrand is constant
+        else:
+            want = reduced_integral(a, b, s, t)
+        assert abs(res.value - want) <= res.est_error
+        assert res.method in (Method.REDUCED_QUAD, Method.DIAGONAL_CLOSED)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(admissible_pairs(), st.integers(0, 40), st.integers(0, 40))
+    def test_lattice_identity(self, pair, s, t):
+        # 1 - 2a cos x - 2b cos y times the integrand: off the origin
+        # nu(s,t) - a[nu(s-1,t) + nu(s+1,t)] - b[nu(s,t-1) + nu(s,t+1)]
+        # = (1 - 2a - 2b) I_00, and at the origin
+        # 2a nu(1,0) + 2b nu(0,1) = 1 - (1 - 2a - 2b) I_00, with the
+        # signed coefficients.  On the boundary a neighbour diverges
+        # unless a, b > 0, where the right sides are 0 and 1.
+        a, b = pair
+        assume(not _on_boundary(a, b) or (a > 0 and b > 0))
+        c = CoeffPair(a, b)
+
+        def nu(i, j):
+            return variogram(c, Lag(abs(i), abs(j)))
+
+        if s == 0 and t == 0:
+            terms = [(2 * a, nu(1, 0)), (2 * b, nu(0, 1))]
+        else:
+            terms = [(1.0, nu(s, t)), (-a, nu(s - 1, t)), (-a, nu(s + 1, t)),
+                     (-b, nu(s, t - 1)), (-b, nu(s, t + 1))]
+        signed_gap = 1 - 2 * Fraction(a) - 2 * Fraction(b)
+        with mp.workdps(40):
+            coeff = mp.mpf(signed_gap.numerator) / signed_gap.denominator
+            source = coeff * i00_closed_form(a, b) if coeff else mp.mpf(0)
+            rhs = 1 - source if s == 0 and t == 0 else source
+            residual = mp.fsum(mp.mpf(w) * res.value for w, res in terms) - rhs
+            # I_00 carries 40 digits, so its bar is far below the others.
+            bound = math.fsum(abs(w) * res.est_error for w, res in terms) + 1e-30 * abs(source)
+            assert abs(residual) <= bound, (float(residual), bound)
+
+    @pytest.mark.parametrize(
+        "a,b,s,t",
+        [
+            (-0.3, 0.2, 1, 0),  # the sign is -1: log divergence at the origin
+            (0.3, -0.2, 2, 1),
+            (-0.3, -0.2, 1, 2),
+            (0.5, 0.0, 0, 1),  # b = 0 with t > 0
+            (0.0, 0.5, 1, 0),  # a = 0 with s > 0
+            (0.0, -0.5, 2, 0),
+        ],
+    )
+    def test_boundary_divergence_raises(self, a, b, s, t):
+        with pytest.raises(DomainError):
+            variogram(CoeffPair(a, b), Lag(s, t))
+
+    @pytest.mark.parametrize(
+        "a,b,s,t,want",
+        [
+            (0.0, 0.5, 0, 3, 3.0),  # 1-D walk: nu(0, t) = t
+            (0.5, 0.0, 5, 0, 5.0),
+            (0.0, -0.5, 0, 4, 4.0),
+            (-0.3, 0.2, 2, 1, None),  # even s with a < 0
+            (0.3, -0.2, 3, 2, None),
+        ],
+    )
+    def test_boundary_finite_values(self, a, b, s, t, want):
+        res = variogram(CoeffPair(a, b), Lag(s, t))
+        want = reduced_integral(a, b, s, t) if want is None else want
+        assert abs(res.value - want) <= res.est_error
+
+
 class TestDiagonalClosedForm:
     @pytest.mark.parametrize(
         "s,want", [(0, 0.0), (1, 4.0 / math.pi), (2, 16.0 / (3.0 * math.pi))]
@@ -433,13 +605,19 @@ class TestDispatch:
     def test_interior(self):
         res = variogram(CoeffPair.from_ab(0.2, 0.2), Lag(0, 0))
         assert res.value == 0.0
-        assert res.method is Method.EXACT_F4
+        assert res.method is Method.REDUCED_QUAD
+        exact = variogram_exact(CoeffPair.from_ab(0.2, 0.2), Lag(0, 0))
+        assert exact.value == 0.0
+        assert exact.method is Method.EXACT_F4
 
     def test_edge(self):
         res = variogram(CoeffPair.from_ab(0.3, 0.2), Lag(1, 1))
+        assert res.method is Method.REDUCED_QUAD
+        assert abs(res.value - reduced_integral(0.3, 0.2, 1, 1)) <= res.est_error
+        edge = variogram_edge(0.3, Lag(1, 1))
         ref = quadrature_variogram(CoeffPair.from_ab(0.3, 0.2), Lag(1, 1))
-        assert res.method is Method.EDGE_ABEL
-        assert res.value == pytest.approx(ref, abs=1e-4)
+        assert edge.method is Method.EDGE_ABEL
+        assert edge.value == pytest.approx(ref, abs=1e-4)
 
     def test_zero_lag_everywhere(self, rng):
         for _ in range(15):
