@@ -15,7 +15,7 @@ import sys
 from dataclasses import asdict, dataclass
 
 from .config import EvalConfig
-from .errors import ConvergenceError, DomainError, IavarError
+from .errors import ConvergenceError, DomainError, IavarError, SlowConvergenceError
 from .oracle import (
     QuadratureSettings,
     bessel_laplace_variogram,
@@ -96,7 +96,7 @@ def _record(a, b, lag, value, method: str, est_error, diagnostics=None) -> Outpu
 
 def _eval_one(a, b, lag, method, cfg, quad_settings) -> OutputRecord:
     if method == "auto":
-        res = variogram(CoeffPair.from_ab(a, b), lag, cfg)
+        res = variogram(CoeffPair.from_ab(a, b), lag)
     elif method == "exact":
         res = variogram_exact(CoeffPair.from_ab(a, b), lag, cfg)
     elif method == "edge":
@@ -164,21 +164,28 @@ def _cmd_verify(args) -> int:
     cfg = EvalConfig(max_terms=args.max_terms)
     quad_settings = QuadratureSettings()
     values: dict[str, float] = {}
-    if pair.regime is Regime.SYMMETRIC_QUARTER:
-        values["symmetric"] = variogram_symmetric(lag, cfg).value
-        values["reduced"] = variogram_reduced(lag).value
-        if lag.s == lag.t:
-            values["diagonal-closed"] = variogram_diagonal(lag.s)
-        values["edge-abel"] = variogram_edge(args.a, lag, cfg).value
-    elif pair.regime is Regime.EDGE:
-        values["edge-abel"] = variogram_edge(args.a, lag, cfg).value
-    else:
+    edge_refusal = None
+    if pair.regime is Regime.INTERIOR:
         values["exact"] = variogram_exact(pair, lag, cfg).value
+    else:
+        if pair.regime is Regime.SYMMETRIC_QUARTER:
+            values["symmetric"] = variogram_symmetric(lag, cfg).value
+            values["reduced"] = variogram_reduced(lag).value
+            if lag.s == lag.t:
+                values["diagonal-closed"] = variogram_diagonal(lag.s)
+        # The Abel path refuses lags past those its offsets resolve; the
+        # refusal is reported and the other methods are still compared.
+        try:
+            values["edge-abel"] = variogram_edge(args.a, lag, cfg).value
+        except SlowConvergenceError as exc:
+            edge_refusal = exc
     values["quad"] = quadrature_variogram(pair, lag, quad_settings)
     values["bessel-difference"] = bessel_laplace_variogram(pair, lag, quad_settings)
 
     for name, value in values.items():
         print(f"{name:18s} {_fmt(value)}")
+    if edge_refusal is not None:
+        print(f"{'edge-abel':18s} refused: {edge_refusal}")
     names = list(values)
     spread = max(
         (abs(values[m] - values[n]) for i, m in enumerate(names) for n in names[i + 1 :]),

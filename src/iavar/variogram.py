@@ -96,10 +96,11 @@ _THETA_SCHEDULE = (8e-3, 4e-3, 2e-3, 1e-3)
 # boundary walk's covariance.  At offset theta the interior variogram
 # saturates past lags of about 1/sqrt(theta) in that norm, and the fit
 # in theta stops seeing the lag.  Against the reduced integral, over
-# a = 0.1, 0.25, 0.3, 0.45 and lags along five directions, error/bar
-# depends on sqrt(theta_min) |x|_Q alone: 0.2 at 1, 0.47 at 2 and 1 at
-# about 3.5.
-_EDGE_MAX_REACH = 2.0
+# a = 0.001 to 0.499 and lags along five directions, error/bar depends
+# on sqrt(theta_min) |x|_Q alone: 0.2 at 1, 0.47 at 2, 0.63 at 2.5, 0.81
+# at 3 and 1 at about 3.5.  The cut at 2.5 leaves the bar 1.6 times the
+# error; past it the F4 term cap fires at some a (0.25, 0.3) anyway.
+_EDGE_MAX_REACH = 2.5
 # Exactly computed leading terms of the expansion-constant series
 # before the half-power tail elimination takes over, and the working
 # precision of that elimination.
@@ -284,7 +285,7 @@ def variogram_edge(a: float, lag: Lag, cfg: EvalConfig | None = None) -> Variogr
     term, and its spread against the three-point fit on the smallest
     offsets is reported as the extrapolation residual.
 
-    The offsets resolve lags up to ``2 / sqrt(1e-3)`` in the norm
+    The offsets resolve lags up to ``2.5 / sqrt(1e-3)`` in the norm
     ``sqrt(s^2/2a + t^2/2b)``; larger lags raise
     :class:`SlowConvergenceError`.
     """
@@ -664,15 +665,12 @@ def variogram_reduced(lag: Lag) -> VariogramResult:
 # ---------------------------------------------------------------------------
 
 
-def variogram(c: CoeffPair, lag: Lag, cfg: EvalConfig | None = None) -> VariogramResult:
+def variogram(c: CoeffPair, lag: Lag) -> VariogramResult:
     """Evaluate the variogram anywhere in the admissible region.
 
     Every input goes to the reduced integral (:func:`variogram_integral`),
     except diagonal lags at the quarter point, which have an elementary
-    closed form (:func:`variogram_diagonal`).  Neither is a series, so
-    ``cfg`` has no effect here; it sets the tolerance and term cap of the
-    paper's named methods, :func:`variogram_exact`,
-    :func:`variogram_edge` and :func:`variogram_symmetric`.
+    closed form (:func:`variogram_diagonal`).
     """
     if c.regime is Regime.SYMMETRIC_QUARTER and lag.s == lag.t:
         value = variogram_diagonal(lag.s)

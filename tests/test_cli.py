@@ -215,6 +215,21 @@ class TestVerify:
         for name in ("edge-abel", "quad", "bessel-difference"):
             assert name in out
 
+    @pytest.mark.parametrize(
+        "a,b,s", [("0.25", "0.25", "60"), ("0.00005", "0.49995", "1")]
+    )
+    def test_edge_refusal_reported_and_rest_compared(self, capsys, a, b, s):
+        # Past the Abel path's reach verify names its refusal and still
+        # compares every other method.
+        code, out, err = run_cli(
+            capsys, "verify", "--a", a, "--b", b, "--s", s, "--t", "0", "--tol", "1e-9"
+        )
+        assert code == 0, err
+        assert "edge-abel          refused: the boundary offsets cannot resolve" in out
+        assert "quad" in out and "bessel-difference" in out
+        if a == "0.25":
+            assert "symmetric" in out and "reduced" in out
+
     def test_breach_exits_nonzero(self, capsys):
         code, _, err = run_cli(
             capsys,

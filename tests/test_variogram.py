@@ -199,17 +199,25 @@ class TestLargeLags:
         with pytest.raises(ConvergenceError):
             variogram_edge(0.3, Lag(600, 600))
 
-    def test_edge_refuses_past_its_reach(self):
-        # i_st's prefactor underflows at (500, 500), so the fit saw I_00
-        # alone and returned 3.6787 +- 0.29 against 5.3137.
-        with pytest.raises(SlowConvergenceError):
-            variogram_edge(0.3, Lag(500, 500))
+    # At (500, 500) i_st's prefactor underflows, so the fit saw I_00
+    # alone and returned 3.6787 +- 0.29 against 5.3137.  The others lie
+    # just past the reach.
+    @pytest.mark.parametrize(
+        "a,lag", [(0.3, (500, 500)), (0.1, (36, 0)), (0.45, (0, 26)), (0.01, (12, 0))]
+    )
+    def test_edge_refuses_past_its_reach(self, a, lag):
+        with pytest.raises(SlowConvergenceError, match="cannot resolve"):
+            variogram_edge(a, Lag(*lag))
 
     @pytest.mark.parametrize(
         "a,lags",
         [
             (0.3, [(1, 0), (0, 1), (2, 1), (12, 0), (20, 20), (40, 0), (30, 30)]),
             (0.1, [(1, 1), (5, 0), (0, 40), (25, 25)]),
+            # Just inside the reach, where error/bar is largest (0.62).
+            (0.1, [(35, 0), (31, 31)]),
+            (0.45, [(0, 24), (74, 0)]),
+            (0.01, [(11, 11)]),
         ],
     )
     def test_edge_bar_bounds_below_its_reach(self, a, lags):
