@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass
 
 from .config import EvalConfig
 from .errors import ConvergenceError, DomainError, IavarError, SlowConvergenceError
@@ -25,48 +24,32 @@ from .variogram import (
     EPS_EDGE,
     CoeffPair,
     Lag,
+    Method,
     Regime,
+    VariogramResult,
     variogram,
     variogram_diagonal,
     variogram_edge,
     variogram_exact,
-    variogram_reduced,
+    variogram_integral,
     variogram_symmetric,
 )
 
-__all__ = ["main", "OutputRecord"]
+__all__ = ["main"]
 
 CSV_HEADER = ["s", "t", "a", "b", "value", "method", "est_error", "terms"]
 METHODS = ("auto", "exact", "edge", "symmetric", "quad", "bessel")
 
 
-@dataclass(frozen=True)
-class OutputRecord:
-    s: int
-    t: int
-    a: float
-    b: float
-    value: float
-    method: str
-    est_error: float
-    terms: int
-
-    def to_row(self) -> list[str]:
-        return [
-            str(self.s),
-            str(self.t),
-            _fmt(self.a),
-            _fmt(self.b),
-            _fmt(self.value),
-            self.method,
-            _fmt(self.est_error),
-            str(self.terms),
-        ]
+def _fmt(x) -> str:
+    # Floats print with 17 significant digits, which round-trip any double.
+    return format(x, ".17g") if isinstance(x, float) else str(x)
 
 
-def _fmt(x: float) -> str:
-    # 17 significant digits round-trip any double exactly.
-    return format(x, ".17g")
+def _fields(a: float, b: float, lag: Lag, res: VariogramResult) -> dict:
+    """One output row, keyed by ``CSV_HEADER``."""
+    row = (lag.s, lag.t, a, b, res.value, res.method.value, res.est_error, res.terms)
+    return dict(zip(CSV_HEADER, row))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,77 +71,65 @@ def _make_quadrature(args) -> QuadratureSettings:
     return QuadratureSettings(abs_tol=args.tol, rel_tol=args.tol)
 
 
-def _record(a, b, lag, value, method: str, est_error, diagnostics=None) -> OutputRecord:
-    """One output row; ``terms`` sums the series terms in ``diagnostics``."""
-    terms = sum(sv.terms_used for sv in (diagnostics or {}).values())
-    return OutputRecord(lag.s, lag.t, a, b, value, method, est_error, terms)
-
-
-def _eval_one(a, b, lag, method, cfg, quad_settings) -> OutputRecord:
+def _eval_one(a, b, lag, method, cfg, quad_settings) -> dict:
     if method == "auto":
-        res = variogram(CoeffPair.from_ab(a, b), lag)
+        res = variogram(CoeffPair(a, b), lag)
     elif method == "exact":
-        res = variogram_exact(CoeffPair.from_ab(a, b), lag, cfg)
+        res = variogram_exact(CoeffPair(a, b), lag, cfg)
     elif method == "edge":
         if abs(a + b - 0.5) > EPS_EDGE:
             raise DomainError("--method edge requires a + b = 1/2")
         res = variogram_edge(a, lag, cfg)
     elif method == "symmetric":
-        pair = CoeffPair.from_ab(a, b)
+        pair = CoeffPair(a, b)
         if pair.regime is not Regime.SYMMETRIC_QUARTER:
             raise DomainError("--method symmetric requires a = b = 1/4")
         res = variogram_symmetric(lag, cfg)
     elif method in ("quad", "bessel"):
         oracle = quadrature_variogram if method == "quad" else bessel_laplace_variogram
-        value = oracle(CoeffPair.from_ab(a, b), lag, quad_settings)
+        value = oracle(CoeffPair(a, b), lag, quad_settings)
         # The bound the oracles enforce: they raise when it is not met.
         bound = max(quad_settings.abs_tol, quad_settings.rel_tol * abs(value))
-        return _record(a, b, lag, value, method, bound)
+        res = VariogramResult(value, Method(method), bound)
     else:  # pragma: no cover - argparse restricts choices
         raise DomainError(f"unknown method {method}")
-    return _record(a, b, lag, res.value, res.method.value, res.est_error, res.diagnostics)
+    return _fields(a, b, lag, res)
 
 
 def _cmd_eval(args) -> int:
     lag = Lag(args.s, args.t)
-    record = _eval_one(
+    fields = _eval_one(
         args.a, args.b, lag, args.method, _make_config(args), _make_quadrature(args)
     )
     if args.json:
-        print(json.dumps(asdict(record)))
+        print(json.dumps(fields))
     else:
-        print(
-            f"s={record.s} t={record.t} a={_fmt(record.a)} b={_fmt(record.b)} "
-            f"value={_fmt(record.value)} method={record.method} "
-            f"est_error={_fmt(record.est_error)} terms={record.terms}"
-        )
+        print(" ".join(f"{k}={_fmt(v)}" for k, v in fields.items()))
     return 0
 
 
 def _cmd_table(args) -> int:
     cfg = _make_config(args)
     quad_settings = _make_quadrature(args)
-    records = []
-    for s in range(args.smax + 1):
-        for t in range(args.tmax + 1):
-            records.append(
-                _eval_one(args.a, args.b, Lag(s, t), args.method, cfg, quad_settings)
-            )
+    records = [
+        _eval_one(args.a, args.b, Lag(s, t), args.method, cfg, quad_settings)
+        for s in range(args.smax + 1)
+        for t in range(args.tmax + 1)
+    ]
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for rec in records:
-            writer.writerow(rec.to_row())
+        writer.writerows([_fmt(v) for v in rec.values()] for rec in records)
         sys.stdout.write(buf.getvalue())
     else:
-        print(json.dumps([asdict(rec) for rec in records]))
+        print(json.dumps(records))
     return 0
 
 
 def _cmd_verify(args) -> int:
     lag = Lag(args.s, args.t)
-    pair = CoeffPair.from_ab(args.a, args.b)
+    pair = CoeffPair(args.a, args.b)
     # --tol bounds the allowed discrepancy; evaluations always run at
     # full precision so the comparison is meaningful.
     cfg = EvalConfig(max_terms=args.max_terms)
@@ -168,11 +139,12 @@ def _cmd_verify(args) -> int:
     if pair.regime is Regime.INTERIOR:
         values["exact"] = variogram_exact(pair, lag, cfg).value
     else:
-        if pair.regime is Regime.SYMMETRIC_QUARTER:
+        quarter = pair.regime is Regime.SYMMETRIC_QUARTER
+        if quarter:
             values["symmetric"] = variogram_symmetric(lag, cfg).value
-            values["reduced"] = variogram_reduced(lag).value
-            if lag.s == lag.t:
-                values["diagonal-closed"] = variogram_diagonal(lag.s)
+        values["reduced"] = variogram_integral(pair, lag).value
+        if quarter and lag.s == lag.t:
+            values["diagonal-closed"] = variogram_diagonal(lag.s)
         # The Abel path refuses lags past those its offsets resolve; the
         # refusal is reported and the other methods are still compared.
         try:

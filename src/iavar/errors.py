@@ -5,6 +5,18 @@ branches: :class:`DomainError` (bad inputs, exit 1) and
 :class:`ConvergenceError` (tolerance not certified, exit 2).
 """
 
+__all__ = [
+    "IavarError",
+    "DomainError",
+    "OutOfRegionError",
+    "PoleInTermError",
+    "ConvergenceError",
+    "MaxTermsExceededError",
+    "ToleranceNotReachedError",
+    "SlowConvergenceError",
+    "NumericalConsistencyError",
+]
+
 
 class IavarError(Exception):
     """Base class for all errors raised by this package."""

@@ -62,6 +62,10 @@ __all__ = [
 _QUAD_LIMIT = 200
 # Gauss-Legendre order of each panel of the Laplace-transform route.
 _PANEL_ORDER = 24
+# Relative accuracy of the scaled Bessel kernel (see ``_ive_vec``): a
+# floor under the Laplace-transform route's error estimates, which a
+# zero panel-doubling difference would otherwise leave at ``tol``.
+_KERNEL_REL_ERROR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -367,7 +371,7 @@ def bessel_laplace_i_st(c: CoeffPair, lag: Lag, q: QuadratureSettings | None = N
 
     edges = np.linspace(0.0, cut, max(8, int(cut / 4.0)) + 1)
     val, err = _refined_panel_integral(fn, edges, tol)
-    total_err = err + tol
+    total_err = err + tol + _KERNEL_REL_ERROR * abs(val)
     if total_err > max(q.abs_tol, q.rel_tol * abs(val)):
         raise ToleranceNotReachedError(
             f"Laplace integral error estimate {total_err:.3e} exceeds tolerance"
@@ -439,7 +443,7 @@ def bessel_laplace_variogram(c: CoeffPair, lag: Lag, q: QuadratureSettings | Non
         val_tail, err_tail = _refined_panel_integral(tail, edges, tol)
 
     val = val_head + val_tail
-    err = err_head + err_tail + 2.0 * tol
+    err = err_head + err_tail + 2.0 * tol + _KERNEL_REL_ERROR * abs(val)
     if err > max(q.abs_tol, q.rel_tol * abs(val)):
         raise ToleranceNotReachedError(
             f"difference-form error estimate {err:.3e} exceeds tolerance"

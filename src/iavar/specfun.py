@@ -406,9 +406,8 @@ def _double_series(terms: _DoubleTerms, rel_tol: float, max_terms: int) -> Serie
         lwidth = int(scale * support_l) + _MIN_ROWS
 
 
-def appell_f4(p: F4Params, cfg: EvalConfig | None = None) -> SeriesValue:
+def appell_f4(p: F4Params, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesValue:
     """Fourth-kind Appell double series inside sqrt(x) + sqrt(y) < 1."""
-    cfg = cfg or DEFAULT_CONFIG
     root = math.sqrt(p.x) + math.sqrt(p.y)
     if root >= 1.0:
         raise OutOfRegionError(
@@ -432,10 +431,9 @@ def appell_f2(
     gamma2: float,
     x: float,
     y: float,
-    cfg: EvalConfig | None = None,
+    cfg: EvalConfig = DEFAULT_CONFIG,
 ) -> SeriesValue:
     """Second-kind Appell double series inside |x| + |y| < 1."""
-    cfg = cfg or DEFAULT_CONFIG
     if not (gamma1 > 0.0 and gamma2 > 0.0):
         raise DomainError("gamma1 and gamma2 must be positive")
     if x + y >= 1.0:
@@ -452,13 +450,12 @@ def appell_f2(
     return _double_series(terms, cfg.rel_tol, cfg.max_terms)
 
 
-def hyp4f3_series(p: ZeroBalanced4F3, z: float, cfg: EvalConfig | None = None) -> SeriesValue:
+def hyp4f3_series(p: ZeroBalanced4F3, z: float, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesValue:
     """Zero-balanced 4F3 series for |z| < 1.
 
     Terms decay like ``z**n / n`` so the cost grows as 1/(1-z) when z
     approaches the unit argument.
     """
-    cfg = cfg or DEFAULT_CONFIG
     return _pfq_series(p.uppers, p.lowers, z, cfg.rel_tol, cfg.max_terms)
 
 
@@ -468,14 +465,13 @@ def f4_equal_args_reduction(
     gamma1: float,
     gamma2: float,
     x: float,
-    cfg: EvalConfig | None = None,
+    cfg: EvalConfig = DEFAULT_CONFIG,
 ) -> SeriesValue:
     """Equal-argument reduction of the F4 series to a single 4F3 at 4x.
 
     Outside |4x| < 1 no convergent series exists and the result is
     flagged not converged instead of raising.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if abs(4.0 * x) >= 1.0:
         return SeriesValue(math.nan, 0, math.inf, False)
     uppers = (alpha, beta, 0.5 * (gamma1 + gamma2), 0.5 * (gamma1 + gamma2 - 1.0))

@@ -78,7 +78,6 @@ __all__ = [
     "variogram_symmetric",
     "variogram_diagonal",
     "variogram_integral",
-    "variogram_reduced",
     "variogram",
 ]
 
@@ -129,6 +128,8 @@ class Method(Enum):
     SYMMETRIC_CLOSED = "SymmetricClosed"
     DIAGONAL_CLOSED = "DiagonalClosed"
     REDUCED_QUAD = "ReducedQuad"
+    QUAD_ORACLE = "quad"
+    BESSEL_ORACLE = "bessel"
 
 
 @dataclass(frozen=True)
@@ -165,7 +166,7 @@ class CoeffPair:
 
     @classmethod
     def from_ab(cls, a: float, b: float) -> "CoeffPair":
-        """Same as ``CoeffPair(a, b)``."""
+        """Same as ``CoeffPair(a, b)``; kept because the benchmark's code calls it."""
         return cls(a, b)
 
     @property
@@ -184,6 +185,11 @@ class VariogramResult:
     method: Method
     est_error: float
     diagnostics: dict[str, SeriesValue] = field(default_factory=dict)
+
+    @property
+    def terms(self) -> int:
+        """Series terms summed over ``diagnostics``; 0 for routes that sum no series."""
+        return sum(sv.terms_used for sv in self.diagnostics.values())
 
 
 def _exact_gap(a: float, b: float) -> float:
@@ -214,13 +220,12 @@ def _cached_f4(p: F4Params, cfg: EvalConfig) -> SeriesValue:
     return appell_f4(p, cfg)
 
 
-def i_st(c: CoeffPair, lag: Lag, cfg: EvalConfig | None = None) -> SeriesValue:
+def i_st(c: CoeffPair, lag: Lag, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesValue:
     """One Laplace-transform term of the interior decomposition.
 
     Equals ``C(s+t, s) a^s b^t F4[(s+t+1)/2, (s+t)/2 + 1; s+1, t+1;
     4a^2, 4b^2]``.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if c.regime is not Regime.INTERIOR:
         raise OutOfRegionError("interior decomposition requires |a| + |b| < 1/2")
     s, t = lag.s, lag.t
@@ -252,9 +257,8 @@ def i_st(c: CoeffPair, lag: Lag, cfg: EvalConfig | None = None) -> SeriesValue:
     return SeriesValue(pref * f4.value, f4.terms_used, abs(pref) * f4.tail_estimate, f4.converged)
 
 
-def variogram_exact(c: CoeffPair, lag: Lag, cfg: EvalConfig | None = None) -> VariogramResult:
+def variogram_exact(c: CoeffPair, lag: Lag, cfg: EvalConfig = DEFAULT_CONFIG) -> VariogramResult:
     """Interior variogram as a difference of two series terms."""
-    cfg = cfg or DEFAULT_CONFIG
     if c.regime is not Regime.INTERIOR:
         raise OutOfRegionError("exact path requires |a| + |b| < 1/2; use the edge path")
     if lag.s == 0 and lag.t == 0:
@@ -273,7 +277,7 @@ def variogram_exact(c: CoeffPair, lag: Lag, cfg: EvalConfig | None = None) -> Va
 # ---------------------------------------------------------------------------
 
 
-def variogram_edge(a: float, lag: Lag, cfg: EvalConfig | None = None) -> VariogramResult:
+def variogram_edge(a: float, lag: Lag, cfg: EvalConfig = DEFAULT_CONFIG) -> VariogramResult:
     """Boundary variogram at (a, 1/2 - a) by Abel-limit extrapolation.
 
     The value at offset theta is the interior variogram at
@@ -289,7 +293,6 @@ def variogram_edge(a: float, lag: Lag, cfg: EvalConfig | None = None) -> Variogr
     ``sqrt(s^2/2a + t^2/2b)``; larger lags raise
     :class:`SlowConvergenceError`.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if not (0.0 < a < 0.5):
         raise DomainError(f"edge path requires a in (0, 1/2), got {a}")
     if lag.s == 0 and lag.t == 0:
@@ -467,20 +470,18 @@ def _b_series_eval(s: int, t: int, cfg: EvalConfig, transformed: bool) -> Series
     return SeriesValue(value, _BSERIES_KMAX, err, converged)
 
 
-def b_st(lag: Lag, cfg: EvalConfig | None = None) -> SeriesValue:
+def b_st(lag: Lag, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesValue:
     """Expansion constant B of the lag family, by its defining series."""
-    cfg = cfg or DEFAULT_CONFIG
     return _b_series_eval(lag.s, lag.t, cfg, transformed=False)
 
 
-def b_st_transformed(lag: Lag, cfg: EvalConfig | None = None) -> SeriesValue:
+def b_st_transformed(lag: Lag, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesValue:
     """Expansion constant B via the transformed series.
 
     For s > t with s - t odd a lower parameter of the embedded finite
     sum hits a nonpositive integer, which is flagged as a pole; the
     defining series (and symmetry B(s,t) = B(t,s)) remain available.
     """
-    cfg = cfg or DEFAULT_CONFIG
     s, t = lag.s, lag.t
     if s > t and (s - t) % 2 == 1:
         raise PoleInTermError(
@@ -490,13 +491,12 @@ def b_st_transformed(lag: Lag, cfg: EvalConfig | None = None) -> SeriesValue:
     return _b_series_eval(s, t, cfg, transformed=True)
 
 
-def zero_balanced_4f3_near_unit(lag: Lag, theta: float, cfg: EvalConfig | None = None) -> float:
+def zero_balanced_4f3_near_unit(lag: Lag, theta: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     """Leading near-unit value of the lag family's zero-balanced 4F3.
 
     Returns ``(L + B - log(theta)) / Gamma``, dropping the
     O(theta) + O(theta log theta) remainder.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if not (0.0 < theta < 1.0):
         raise DomainError("theta must lie in (0, 1)")
     b = b_st(lag, cfg)
@@ -508,12 +508,11 @@ def zero_balanced_4f3_near_unit(lag: Lag, theta: float, cfg: EvalConfig | None =
 # ---------------------------------------------------------------------------
 
 
-def variogram_symmetric(lag: Lag, cfg: EvalConfig | None = None) -> VariogramResult:
+def variogram_symmetric(lag: Lag, cfg: EvalConfig = DEFAULT_CONFIG) -> VariogramResult:
     """Closed form at a = b = 1/4: (log 4 + 2 H_{s+t} - B) / pi.
 
     B comes from its defining series.
     """
-    cfg = cfg or DEFAULT_CONFIG
     s, t = lag.s, lag.t
     if s == 0 and t == 0:
         return VariogramResult(0.0, Method.SYMMETRIC_CLOSED, 0.0, {})
@@ -645,19 +644,6 @@ def variogram_integral(c: CoeffPair, lag: Lag) -> VariogramResult:
     q_low, q_high, magnitude = q_low / math.pi, q_high / math.pi, magnitude / math.pi
     est = abs(q_high - q_low) + _GL_ROUNDING_OPS * math.ulp(1.0) * magnitude
     return VariogramResult(_finalize_value(q_high, est), Method.REDUCED_QUAD, est, {})
-
-
-def variogram_reduced(lag: Lag) -> VariogramResult:
-    """Quarter-point variogram from the reduced 1-D integral.
-
-    :func:`variogram_integral` at ``a = b = 1/4``, where the gap is 0
-    and the rule's panels are ``2(s+t+1)`` equal ones.  With
-    ``h = sin(x/2)`` the integrand is
-    ``[2 sin^2(sx/2) - cos(sx) expm1(-2t asinh h)] / (h sqrt(1 + h^2))``,
-    analytic on [0, pi] (the 0/0 at x = 0 is removable and no node
-    reaches it).
-    """
-    return variogram_integral(CoeffPair(0.25, 0.25), lag)
 
 
 # ---------------------------------------------------------------------------

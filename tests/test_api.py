@@ -23,8 +23,5 @@ def test_star_import():
     assert set(iavar.__all__) <= set(namespace)
 
 
-def test_reduced_route_exported():
-    module = importlib.import_module("iavar.variogram")
-    assert "variogram_reduced" in module.__all__
-    assert "variogram_reduced" in iavar.__all__
-    assert iavar.variogram_reduced is module.variogram_reduced
+def test_each_name_exported_once():
+    assert len(iavar.__all__) == len(set(iavar.__all__))

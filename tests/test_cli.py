@@ -8,6 +8,7 @@ import math
 import pytest
 
 from iavar.cli import CSV_HEADER, main
+from iavar.variogram import CoeffPair, Lag, variogram, variogram_exact
 
 from conftest import reduced_integral
 
@@ -104,6 +105,17 @@ class TestEval:
         assert record["value"] > 1.0
         assert record["est_error"] == 1e-6 * record["value"]
 
+    def test_bessel_refuses_tolerance_below_kernel_accuracy(self, capsys):
+        # The 30-digit value is 1.2609740712989586; the kernel's 1e-14
+        # cannot certify 1e-20.
+        code, out, err = run_cli(
+            capsys,
+            "eval", "--a", "0.3", "--b", "0.1", "--s", "2", "--t", "1",
+            "--method", "bessel", "--tol", "1e-20",
+        )
+        assert code == 2 and out == ""
+        assert "convergence failure" in err
+
     def test_method_constraints(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -117,6 +129,54 @@ class TestEval:
             "--method", "symmetric",
         )
         assert code == 1
+
+
+class TestOutputFormats:
+    """The text line, the JSON object and the CSV row carry the same fields."""
+
+    @pytest.mark.parametrize(
+        "method,a,b,s,t,seen",
+        [
+            ("auto", "0.2", "-0.1", "2", "1", "ReducedQuad"),
+            ("exact", "0.2", "0.1", "2", "1", "ExactF4"),
+            ("symmetric", "0.25", "0.25", "2", "1", "SymmetricClosed"),
+            ("quad", "0.2", "0.1", "2", "1", "quad"),
+            ("bessel", "0.2", "0.1", "2", "1", "bessel"),
+        ],
+    )
+    def test_text_json_csv_agree(self, capsys, method, a, b, s, t, seen):
+        ab = ["--a", a, "--b", b]
+        lag = ["--s", s, "--t", t]
+        code, text, _ = run_cli(capsys, "eval", *ab, *lag, "--method", method)
+        assert code == 0
+        code, js, _ = run_cli(capsys, "eval", *ab, *lag, "--method", method, "--json")
+        assert code == 0
+        code, table, _ = run_cli(
+            capsys, "table", *ab, "--smax", s, "--tmax", t, "--method", method
+        )
+        assert code == 0
+
+        pairs = [field.split("=", 1) for field in text.split()]
+        assert [k for k, _ in pairs] == CSV_HEADER
+        from_text = [v for _, v in pairs]
+        record = json.loads(js)
+        assert list(record) == CSV_HEADER
+        from_json = [
+            format(v, ".17g") if isinstance(v, float) else str(v) for v in record.values()
+        ]
+        rows = list(csv.reader(io.StringIO(table)))
+        assert rows[0] == CSV_HEADER
+        from_csv = rows[-1]  # the last row is lag (s, t)
+        assert from_text == from_json == from_csv
+
+        # terms is the series work the result carries: F4 or B-series
+        # terms, none under the reduced rule and the oracles.
+        assert record["method"] == seen
+        assert (record["terms"] > 0) == (method in ("exact", "symmetric"))
+        if method in ("auto", "exact"):
+            fn = variogram if method == "auto" else variogram_exact
+            res = fn(CoeffPair(float(a), float(b)), Lag(int(s), int(t)))
+            assert record["terms"] == res.terms
 
 
 class TestTable:
@@ -229,6 +289,20 @@ class TestVerify:
         assert "quad" in out and "bessel-difference" in out
         if a == "0.25":
             assert "symmetric" in out and "reduced" in out
+
+    def test_boundary_runs_default_rule(self, capsys):
+        # On the boundary verify also runs auto's rule, which agrees with
+        # both oracles far inside --tol.
+        code, out, err = run_cli(
+            capsys, "verify", "--a", "0.3", "--b", "0.2", "--s", "2", "--t", "1",
+            "--tol", "1e-3",
+        )
+        assert code == 0, err
+        values = dict(line.split() for line in out.splitlines() if len(line.split()) == 2)
+        assert list(values) == ["reduced", "edge-abel", "quad", "bessel-difference"]
+        reduced = float(values["reduced"])
+        for oracle in ("quad", "bessel-difference"):
+            assert abs(reduced - float(values[oracle])) <= 1e-8
 
     def test_breach_exits_nonzero(self, capsys):
         code, _, err = run_cli(

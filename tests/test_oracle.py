@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from iavar.errors import DomainError, OutOfRegionError
+from iavar.errors import DomainError, OutOfRegionError, ToleranceNotReachedError
 from iavar.oracle import (
     QuadratureSettings,
     _ive_vec,
@@ -83,6 +83,12 @@ class TestQuadrature:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             quadrature_variogram(CoeffPair(-0.1, 0.2), Lag(1, 0))
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_unreachable_tolerance_refused(self):
+        tiny = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-300)
+        with pytest.raises(ToleranceNotReachedError):
+            quadrature_variogram(CoeffPair(0.3, 0.1), Lag(40, 3), tiny)
 
     def test_refinement_convergence(self, rng):
         # halving tolerances moves the value by less than the previous
@@ -161,6 +167,20 @@ class TestLaplaceRoute:
         assert pair.regime is Regime.EDGE
         with pytest.raises(OutOfRegionError):
             bessel_laplace_i_st(pair, Lag(1, 0))
+
+    def test_single_form_refuses_uncertifiable_tail(self):
+        # Just outside the boundary band the tail cut passes its limit.
+        with pytest.raises(ToleranceNotReachedError, match="tail bound cannot certify"):
+            bessel_laplace_i_st(CoeffPair(0.3, 0.2 - 1e-8), Lag(1, 0))
+
+    def test_tolerance_below_kernel_accuracy_refused(self):
+        # A zero panel-doubling difference does not certify 1e-20: the
+        # kernel itself is accurate to about 1e-14 relative.
+        tiny = QuadratureSettings(abs_tol=1e-20, rel_tol=1e-20)
+        with pytest.raises(ToleranceNotReachedError):
+            bessel_laplace_variogram(CoeffPair(0.3, 0.1), Lag(2, 1), tiny)
+        with pytest.raises(ToleranceNotReachedError):
+            bessel_laplace_i_st(CoeffPair(0.3, 0.1), Lag(2, 1), tiny)
 
     def test_difference_form_zero_lag(self):
         assert bessel_laplace_variogram(CoeffPair.from_ab(0.2, 0.1), Lag(0, 0)) == 0.0

@@ -14,6 +14,7 @@ from iavar.config import EvalConfig
 from iavar.errors import (
     ConvergenceError,
     DomainError,
+    NumericalConsistencyError,
     OutOfRegionError,
     PoleInTermError,
     SlowConvergenceError,
@@ -40,7 +41,7 @@ from iavar.variogram import (
     variogram_diagonal,
     variogram_edge,
     variogram_exact,
-    variogram_reduced,
+    variogram_integral,
     variogram_symmetric,
     zero_balanced_4f3_near_unit,
 )
@@ -476,7 +477,7 @@ class TestReducedQuarterPoint:
         assert methods == {(True, Method.DIAGONAL_CLOSED), (False, Method.REDUCED_QUAD)}
 
     def test_zero_lag(self):
-        res = variogram_reduced(Lag(0, 0))
+        res = variogram_integral(CoeffPair(0.25, 0.25), Lag(0, 0))
         assert res.value == 0.0 and res.method is Method.REDUCED_QUAD
 
 
@@ -651,3 +652,10 @@ class TestBudgets:
             EvalConfig(rel_tol=0.0)
         with pytest.raises(DomainError):
             EvalConfig(max_terms=0)
+
+    def test_negative_beyond_budget_is_inconsistent(self):
+        # Cancellation-level negatives clamp to 0; one 100x the error bar
+        # means the evaluation is wrong, not merely rounded.
+        assert variogram_module._finalize_value(-1e-6, 1e-6) == 0.0
+        with pytest.raises(NumericalConsistencyError):
+            variogram_module._finalize_value(-1e-3, 1e-6)
