@@ -1,8 +1,9 @@
 """Command-line front end: single-lag evaluation, tables, verification.
 
-Exit codes: 0 on success, 1 on usage or domain errors, 2 when a
-requested tolerance could not be certified (or a verification
-discrepancy exceeds its bound).
+Exit codes: 0 on success, 1 on usage or domain errors (and when fewer
+than two methods of a verification return a value), 2 when a requested
+tolerance could not be certified (or a verification discrepancy exceeds
+its bound).
 """
 
 from __future__ import annotations
@@ -135,33 +136,43 @@ def _cmd_verify(args) -> int:
     cfg = EvalConfig(max_terms=args.max_terms)
     quad_settings = QuadratureSettings()
     values: dict[str, float] = {}
-    edge_refusal = None
+    refusals: dict[str, IavarError] = {}
+
+    def attempt(name, evaluate):
+        # A method that refuses the input (its domain, or the Abel path's
+        # reach) is reported; the other methods are still compared.
+        try:
+            values[name] = evaluate()
+        except (DomainError, SlowConvergenceError) as exc:
+            refusals[name] = exc
+
     if pair.regime is Regime.INTERIOR:
         values["exact"] = variogram_exact(pair, lag, cfg).value
     else:
         quarter = pair.regime is Regime.SYMMETRIC_QUARTER
         if quarter:
             values["symmetric"] = variogram_symmetric(lag, cfg).value
-        values["reduced"] = variogram_integral(pair, lag).value
+        attempt("reduced", lambda: variogram_integral(pair, lag).value)
         if quarter and lag.s == lag.t:
             values["diagonal-closed"] = variogram_diagonal(lag.s)
-        # The Abel path refuses lags past those its offsets resolve; the
-        # refusal is reported and the other methods are still compared.
-        try:
-            values["edge-abel"] = variogram_edge(args.a, lag, cfg).value
-        except SlowConvergenceError as exc:
-            edge_refusal = exc
-    values["quad"] = quadrature_variogram(pair, lag, quad_settings)
-    values["bessel-difference"] = bessel_laplace_variogram(pair, lag, quad_settings)
+        attempt("edge-abel", lambda: variogram_edge(args.a, lag, cfg).value)
+    attempt("quad", lambda: quadrature_variogram(pair, lag, quad_settings))
+    attempt("bessel-difference", lambda: bessel_laplace_variogram(pair, lag, quad_settings))
 
     for name, value in values.items():
         print(f"{name:18s} {_fmt(value)}")
-    if edge_refusal is not None:
-        print(f"{'edge-abel':18s} refused: {edge_refusal}")
+    for name, exc in refusals.items():
+        print(f"{name:18s} refused: {exc}")
+    if len(values) < 2:
+        print(
+            "verification FAILED: fewer than two methods returned a value; "
+            f"refused: {', '.join(refusals)}",
+            file=sys.stderr,
+        )
+        return 1
     names = list(values)
     spread = max(
-        (abs(values[m] - values[n]) for i, m in enumerate(names) for n in names[i + 1 :]),
-        default=0.0,
+        abs(values[m] - values[n]) for i, m in enumerate(names) for n in names[i + 1 :]
     )
     print(f"max discrepancy    {_fmt(spread)}  (tolerance {_fmt(args.tol)})")
     if spread <= args.tol:

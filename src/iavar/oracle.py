@@ -29,6 +29,10 @@ takes, on an adaptive rule instead of its fixed one.  It shares no code
 with it, but the reduction is common to both, so only the
 Laplace-transform route checks ``variogram()`` independently.
 
+scipy is imported on the first quadrature call, through this module's
+``quad``, which forwards to ``scipy.integrate.quad``: ``import iavar``
+and every other route run without it.
+
 The scaled Bessel kernel ``exp(-x) I_n(x)`` has two branches per order,
 split at ``min(max(30, n^2), 650)``: the power series below, and above
 it Hankel's large-argument expansion for orders up to 25 or Debye's
@@ -46,7 +50,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, OutOfRegionError, ToleranceNotReachedError
 from .variogram import EPS_EDGE, CoeffPair, Lag, _exact_gap
@@ -68,6 +71,18 @@ _PANEL_ORDER = 24
 _KERNEL_REL_ERROR = 1e-14
 
 
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported on the first call.
+
+    scipy is loaded only when the quadrature oracle runs, not on
+    ``import iavar``.  The oracle looks this name up at call time, so a
+    wrapper set on ``iavar.oracle.quad`` sees every call.
+    """
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
+
+
 @dataclass(frozen=True)
 class QuadratureSettings:
     """Absolute and relative error tolerances of the oracle integrators."""
@@ -80,16 +95,33 @@ class QuadratureSettings:
             raise DomainError("tolerances must be positive")
 
 
+def _oracle_gap(a: float, b: float, route: str) -> float:
+    """The gap ``max(0, 1 - 2a - 2b)`` of an oracle that takes ``a, b >= 0``.
+
+    On the boundary with ``a`` or ``b`` zero the walk is one-dimensional:
+    the variogram is ``t / 2b`` (or ``s / 2a``) on the lags the walk
+    reaches and diverges on the others, and neither oracle's integrand
+    resolves it there, so :class:`DomainError` is raised at every lag.
+    """
+    if a < 0.0 or b < 0.0:
+        raise DomainError(f"{route} requires a, b >= 0")
+    gap = max(0.0, _exact_gap(a, b))
+    if gap == 0.0 and (a == 0.0 or b == 0.0):
+        raise DomainError(
+            f"{route} does not cover the boundary corner a = {a}, b = {b}, "
+            "where the walk is one-dimensional"
+        )
+    return gap
+
+
 def _quadrature_variogram_impl(
     c: CoeffPair, lag: Lag, q: QuadratureSettings
 ) -> tuple[float, float]:
     a, b = c.a, c.b
-    if a < 0.0 or b < 0.0:
-        raise DomainError("quadrature oracle requires a, b >= 0")
+    gap = _oracle_gap(a, b, "quadrature oracle")
     s, t = lag.s, lag.t
     if s == 0 and t == 0:
         return 0.0, 0.0
-    gap = max(0.0, _exact_gap(a, b))
 
     def f(x: float) -> float:
         h = math.sin(0.5 * x)
@@ -126,7 +158,11 @@ def _quadrature_variogram_impl(
 
 
 def quadrature_variogram(c: CoeffPair, lag: Lag, q: QuadratureSettings | None = None) -> float:
-    """Variogram by adaptive quadrature of the defining integral, reduced to 1-D."""
+    """Variogram by adaptive quadrature of the defining integral, reduced to 1-D.
+
+    Raises :class:`DomainError` for a negative coefficient, and on the
+    boundary when ``a`` or ``b`` is 0.
+    """
     q = q or QuadratureSettings()
     return _quadrature_variogram_impl(c, lag, q)[0]
 
@@ -403,15 +439,16 @@ def bessel_laplace_variogram(c: CoeffPair, lag: Lag, q: QuadratureSettings | Non
     algebraically on the boundary, so the far tail is integrated in the
     substituted variable u = 1/x where it is smooth and bounded; near the
     boundary its panels are graded toward u = 0 on the scale of the gap.
+
+    Raises :class:`DomainError` for a negative coefficient, and on the
+    boundary when ``a`` or ``b`` is 0.
     """
     q = q or QuadratureSettings()
     a, b = c.a, c.b
-    if a < 0.0 or b < 0.0:
-        raise DomainError("difference form implemented for a, b >= 0")
+    gap = _oracle_gap(a, b, "difference form")
     s, t = lag.s, lag.t
     if s == 0 and t == 0:
         return 0.0
-    gap = max(0.0, _exact_gap(a, b))
     tol = q.abs_tol / 20.0
 
     def diff(xs: np.ndarray) -> np.ndarray:

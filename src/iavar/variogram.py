@@ -25,7 +25,9 @@ lags), so direct truncation cannot certify tight tolerances.  Terms are
 generated in exact integer arithmetic (the embedded terminating 3F2
 cancels catastrophically in floating point once k exceeds ~45) and the
 tail is removed by eliminating half-integer powers of 1/K from the
-partial sums at high working precision.
+partial sums at high working precision.  mpmath, which that elimination
+needs, is imported by the B-series functions when they first run, so
+``import iavar`` and the other routes run without it.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 
 from .config import DEFAULT_CONFIG, EvalConfig
@@ -394,6 +395,8 @@ def _exact_3f2_int_pair(u1: int, u2: int, v1: int, v2: int, k: int) -> tuple[int
 
 def _b_series_partials(s: int, t: int, kmax: int, transformed: bool) -> list:
     """Exact partial sums of the expansion-constant series as mpf values."""
+    import mpmath as mp
+
     partials = []
     total = mp.mpf(0)
     u2, w = (s - t, t - s + 1) if transformed else (s + t + 1, 2 * t + 1)
@@ -428,6 +431,8 @@ def _richardson_weights(kmax: int, j_top: int) -> tuple[tuple[int, ...], tuple]:
     ``M^T w = e_0``.  ``M`` depends on the nodes only, never on the lag,
     so the weights are solved once per order.
     """
+    import mpmath as mp
+
     step = max(4, kmax // (2 * (j_top + 1)))
     nodes = tuple(kmax - i * step for i in range(j_top + 1))
     with mp.workdps(_BSERIES_DPS):
@@ -449,6 +454,8 @@ def _half_power_limit(partials: list, order: int) -> tuple[float, float]:
     sums at the nodes (:func:`_richardson_weights`); the spread between
     the orders is the error estimate.
     """
+    import mpmath as mp
+
     kmax = len(partials)
     estimates = []
     for j_top in (order, order - 2):
@@ -459,6 +466,8 @@ def _half_power_limit(partials: list, order: int) -> tuple[float, float]:
 
 
 def _b_series_eval(s: int, t: int, cfg: EvalConfig, transformed: bool) -> SeriesValue:
+    import mpmath as mp
+
     if _BSERIES_KMAX > cfg.max_terms:
         raise MaxTermsExceededError(
             f"the expansion-constant series needs {_BSERIES_KMAX} terms, over the cap"

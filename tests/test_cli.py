@@ -92,6 +92,17 @@ class TestEval:
         assert "value=1.12660787" in out
 
     @pytest.mark.parametrize("method", ["quad", "bessel"])
+    @pytest.mark.parametrize("a,b", [("0", "0.5"), ("0.5", "0")])
+    def test_oracle_refuses_boundary_corner(self, capsys, method, a, b):
+        # The quadrature oracle raised ZeroDivisionError at (0, 1/2).
+        code, out, err = run_cli(
+            capsys,
+            "eval", "--a", a, "--b", b, "--s", "0", "--t", "1", "--method", method,
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("iavar: error: ") and "boundary corner" in err
+
+    @pytest.mark.parametrize("method", ["quad", "bessel"])
     def test_oracle_error_bar_is_enforced_bound(self, capsys, method):
         # The oracles certify max(abs_tol, rel_tol |value|), which exceeds
         # abs_tol once |value| > 1.
@@ -289,6 +300,29 @@ class TestVerify:
         assert "quad" in out and "bessel-difference" in out
         if a == "0.25":
             assert "symmetric" in out and "reduced" in out
+
+    def test_boundary_corner_refusals_reported(self, capsys):
+        # Only the default route returns a value (exactly 2): the Abel
+        # path and both oracles refuse, so there is nothing to compare.
+        code, out, err = run_cli(
+            capsys, "verify", "--a", "0", "--b", "0.5", "--s", "0", "--t", "2", "--tol", "1e-3"
+        )
+        assert code == 1
+        assert out.splitlines()[0] == "reduced            2"
+        for name in ("edge-abel", "quad", "bessel-difference"):
+            assert f"{name:18s} refused: " in out
+        assert "max discrepancy" not in out
+        assert "fewer than two methods" in err
+        assert "refused: edge-abel, quad, bessel-difference" in err
+
+    def test_every_method_refuses_exit_1(self, capsys):
+        # At (1/2, 0) lag (0, 1) the variogram diverges.
+        code, out, err = run_cli(
+            capsys, "verify", "--a", "0.5", "--b", "0", "--s", "0", "--t", "1"
+        )
+        assert code == 1
+        assert "reduced            refused: the variogram diverges" in out
+        assert "refused: reduced, edge-abel, quad, bessel-difference" in err
 
     def test_boundary_runs_default_rule(self, capsys):
         # On the boundary verify also runs auto's rule, which agrees with

@@ -230,3 +230,26 @@ class TestLaplaceRoute:
                         vq = quadrature_variogram(pair, Lag(s, t))
                         vb = bessel_laplace_variogram(pair, Lag(s, t))
                         assert vq == pytest.approx(vb, abs=1e-6)
+
+
+class TestBoundaryCorners:
+    """On the boundary with a or b zero the walk is one-dimensional."""
+
+    @pytest.mark.parametrize("oracle", [quadrature_variogram, bessel_laplace_variogram])
+    @pytest.mark.parametrize("a,b", [(0.0, 0.5), (0.5, 0.0)])
+    @pytest.mark.parametrize("s,t", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_refused(self, oracle, a, b, s, t):
+        # At (0, 1/2) lag (0, 1) the quadrature oracle divided by zero and
+        # the Bessel-Laplace oracle certified 0.99995 against the exact 1;
+        # at (1/2, 0) lag (0, 1), where the variogram diverges, both
+        # returned a finite value.
+        with pytest.raises(DomainError, match="boundary corner"):
+            oracle(CoeffPair(a, b), Lag(s, t))
+
+    @pytest.mark.parametrize("oracle", [quadrature_variogram, bessel_laplace_variogram])
+    @pytest.mark.parametrize("a", [1e-6, 1e-9])
+    def test_values_near_the_corner_kept(self, oracle, a):
+        q = QuadratureSettings()
+        got = oracle(CoeffPair(a, 0.5 - a), Lag(0, 1), q)
+        want = reduced_integral(a, 0.5 - a, 0, 1)
+        assert abs(got - want) <= max(q.abs_tol, q.rel_tol * abs(got))
