@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from .config import EvalConfig
@@ -185,6 +186,18 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="iavar", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def nonnegative_int(text: str) -> int:
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
+        return value
+
+    def positive_finite(text: str) -> float:
+        value = float(text)
+        if not 0.0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+        return value
+
     def add_common(p, with_lag=True):
         p.add_argument("--a", type=float, required=True, help="horizontal coefficient")
         p.add_argument("--b", type=float, required=True, help="vertical coefficient")
@@ -202,8 +215,8 @@ def _build_parser() -> _Parser:
 
     p_table = sub.add_parser("table", help="evaluate a rectangle of lags")
     add_common(p_table, with_lag=False)
-    p_table.add_argument("--smax", type=int, required=True)
-    p_table.add_argument("--tmax", type=int, required=True)
+    p_table.add_argument("--smax", type=nonnegative_int, required=True)
+    p_table.add_argument("--tmax", type=nonnegative_int, required=True)
     p_table.add_argument("--format", choices=["csv", "json"], default="csv")
     p_table.add_argument("--method", choices=METHODS, default="auto")
     p_table.add_argument("--tol", type=float, default=None)
@@ -213,7 +226,7 @@ def _build_parser() -> _Parser:
         "verify", help="run every applicable method plus both oracles"
     )
     add_common(p_verify)
-    p_verify.add_argument("--tol", type=float, default=1e-6)
+    p_verify.add_argument("--tol", type=positive_finite, default=1e-6)
     p_verify.set_defaults(fn=_cmd_verify)
 
     return parser

@@ -16,9 +16,8 @@ class EvalConfig:
     Attributes
     ----------
     rel_tol:
-        Target relative tolerance for truncated series.  A series result
-        reports ``converged=True`` only when its tail estimate is below
-        ``rel_tol * max(1, |value|)``.
+        Target relative tolerance for truncated series: a series stops
+        once its tail estimate is below ``rel_tol * max(1, |value|)``.
     max_terms:
         Cap on the number of summed terms of any single series evaluation.
 

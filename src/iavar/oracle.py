@@ -13,6 +13,14 @@ methods or with each other:
   a product of exponentially scaled modified Bessel functions, summed
   on composite Gauss-Legendre panels.
 
+Both Laplace-transform routes, the term ``I_st`` and the difference
+form, integrate on ``|a|, |b|`` with the sign ``(-1)^(s [a<0] + t [b<0])``
+(``I_n(-y) = (-1)^n I_n(y)``) through one integrator, ``_laplace_integral``:
+equal panels on ``[0, 64]``, then an exponential cut for gaps above 0.05,
+or else the tail in ``u = 1/x`` on panels graded toward ``u = 0`` on the
+smallest positive scale among the gap and ``2|a|``, ``2|b|``, where
+``exp(-gap/u)`` switches on and where a Bessel argument passes 1.
+
 The reduced integrand is evaluated through cancellation-free forms:
 ``D- = gap + 4a sin^2(x/2)`` in half-angle sines, ``1 - cos(sx) rho**t``
 as ``2 sin^2(sx/2) - cos(sx) expm1(t log rho)``, and ``log rho`` through
@@ -96,7 +104,7 @@ class QuadratureSettings:
 
 
 def _oracle_gap(a: float, b: float, route: str) -> float:
-    """The gap ``max(0, 1 - 2a - 2b)`` of an oracle that takes ``a, b >= 0``.
+    """The gap ``max(0, 1 - 2a - 2b)`` of an oracle route on ``a, b >= 0``.
 
     On the boundary with ``a`` or ``b`` zero the walk is one-dimensional:
     the variogram is ``t / 2b`` (or ``s / 2a``) on the lags the walk
@@ -108,7 +116,7 @@ def _oracle_gap(a: float, b: float, route: str) -> float:
     gap = max(0.0, _exact_gap(a, b))
     if gap == 0.0 and (a == 0.0 or b == 0.0):
         raise DomainError(
-            f"{route} does not cover the boundary corner a = {a}, b = {b}, "
+            f"{route} does not cover the boundary corner |a| = {a}, |b| = {b}, "
             "where the walk is one-dimensional"
         )
     return gap
@@ -372,117 +380,105 @@ def _laplace_tail_cut(a: float, b: float, gap: float, tol: float) -> float:
     scale = 4.0 * math.pi * math.sqrt(max(a * b, 1e-4))
     x = 30.0
     for _ in range(60):
-        x = min(1e5, (math.log(1.0 / (tol * scale * max(x, 1.0)))) / gap)
+        x = math.log(1.0 / (tol * scale * max(x, 1.0))) / gap
         if x <= 0.0:
             return 30.0
-    return min(1e5, max(30.0, x * 1.1))
+    return max(30.0, x * 1.1)
+
+
+def _laplace_integral(fn, a: float, b: float, gap: float, q: QuadratureSettings) -> float:
+    """``int_0^inf fn(x) dx`` of a Laplace-route integrand on ``a, b >= 0``.
+
+    Raises :class:`ToleranceNotReachedError` past ``max(abs_tol, rel_tol |value|)``.
+    """
+    tol = q.abs_tol / 20.0
+    x_head = 64.0
+    val_head, err_head = _refined_panel_integral(fn, np.linspace(0.0, x_head, 33), tol)
+    if gap > 0.05:
+        cut = _laplace_tail_cut(a, b, gap, tol)
+        val_tail, err_tail = 0.0, 0.0
+        if cut > x_head:
+            edges = np.linspace(x_head, cut, max(8, int((cut - x_head) / 4.0)) + 1)
+            val_tail, err_tail = _refined_panel_integral(fn, edges, tol)
+    else:
+
+        def tail(us: np.ndarray) -> np.ndarray:
+            xs = 1.0 / us
+            return fn(xs) * xs * xs
+
+        # u = 0 maps to the x -> inf limit; Gauss-Legendre nodes are
+        # interior, so the panel rule never evaluates the endpoint.  The
+        # first of 48 equal panels is halved down to scale / 64, and to no
+        # less than an ulp of it: the tail integrand is bounded as u -> 0,
+        # so a narrower feature weighs nothing.  On the boundary a or b is
+        # positive, so the scale is too.
+        scale = min(v for v in (gap, 2.0 * a, 2.0 * b) if v > 0.0)
+        edges = np.linspace(0.0, 1.0 / x_head, 49)
+        halvings = math.ceil(math.log2(64.0 * edges[1] / max(scale, edges[1] * 2.0**-52)))
+        graded = edges[1] * np.exp2(-np.arange(halvings, 0, -1.0))
+        edges = np.concatenate(([0.0], graded, edges[1:]))
+        val_tail, err_tail = _refined_panel_integral(tail, edges, tol)
+    val = val_head + val_tail
+    err = err_head + err_tail + 2.0 * tol + _KERNEL_REL_ERROR * abs(val)
+    if err > max(q.abs_tol, q.rel_tol * abs(val)):
+        raise ToleranceNotReachedError(
+            f"Laplace integral error estimate {err:.3e} exceeds tolerance"
+        )
+    return val
+
+
+def _laplace_sign(c: CoeffPair, lag: Lag) -> float:
+    """``(-1)^(s [a<0] + t [b<0])``, the sign of the lag term on ``|a|, |b|``."""
+    return (-1.0) ** ((lag.s if c.a < 0.0 else 0) + (lag.t if c.b < 0.0 else 0))
 
 
 def bessel_laplace_i_st(c: CoeffPair, lag: Lag, q: QuadratureSettings | None = None) -> float:
-    """Laplace-transform term as a truncated semi-infinite integral.
+    """Laplace-transform term ``int_0^inf exp(-x) I_s(2ax) I_t(2bx) dx``.
 
-    Integrates ``exp(-x) I_s(2ax) I_t(2bx)`` through scaled Bessel
-    factors so nothing overflows; requires |a| + |b| strictly inside the
-    boundary so the exponential tail bound yields a finite cut.
+    It diverges on the boundary, where :class:`OutOfRegionError` is raised.
     """
     q = q or QuadratureSettings()
     a, b = abs(c.a), abs(c.b)
-    sign = (-1.0 if c.a < 0.0 else 1.0) ** lag.s * (-1.0 if c.b < 0.0 else 1.0) ** lag.t
-    gap = _exact_gap(a, b)
     if abs(a + b - 0.5) <= EPS_EDGE:
         raise OutOfRegionError(
             "single-term Laplace integral diverges on the boundary; "
             "use the difference form"
         )
+    gap = _exact_gap(a, b)
     s, t = lag.s, lag.t
-    tol = q.abs_tol / 10.0
-    cut = _laplace_tail_cut(a, b, gap, tol)
-    if cut >= 1e5:
-        raise ToleranceNotReachedError("tail bound cannot certify the truncation point")
 
     def fn(xs: np.ndarray) -> np.ndarray:
-        return (
-            np.exp(-gap * xs) * _ive_vec(s, 2.0 * a * xs) * _ive_vec(t, 2.0 * b * xs)
-        )
+        return np.exp(-gap * xs) * _ive_vec(s, 2.0 * a * xs) * _ive_vec(t, 2.0 * b * xs)
 
-    edges = np.linspace(0.0, cut, max(8, int(cut / 4.0)) + 1)
-    val, err = _refined_panel_integral(fn, edges, tol)
-    total_err = err + tol + _KERNEL_REL_ERROR * abs(val)
-    if total_err > max(q.abs_tol, q.rel_tol * abs(val)):
-        raise ToleranceNotReachedError(
-            f"Laplace integral error estimate {total_err:.3e} exceeds tolerance"
-        )
-    return sign * val
-
-
-def _graded_tail_edges(u_max: float, n_panels: int, gap: float) -> np.ndarray:
-    """Equal panels on ``[0, u_max]``, the first one halved down to ``gap / 64``.
-
-    In ``u = 1/x`` the factor ``exp(-gap/u)`` switches on at ``u ~ gap``;
-    below ``gap/64`` it is under ``e^-64``.  Equal panels put that whole
-    feature inside the first panel once the gap is smaller than it.  The
-    halving stops at an ulp of the first panel: the tail integrand is
-    bounded as ``u -> 0``, so a feature that narrow weighs nothing.
-    """
-    edges = np.linspace(0.0, u_max, n_panels + 1)
-    halvings = 0
-    if gap > 0.0:
-        halvings = math.ceil(math.log2(64.0 * edges[1] / max(gap, edges[1] * 2.0**-52)))
-    graded = edges[1] * np.exp2(-np.arange(halvings, 0, -1.0))
-    return np.concatenate(([0.0], graded, edges[1:]))
+    return _laplace_sign(c, lag) * _laplace_integral(fn, a, b, gap, q)
 
 
 def bessel_laplace_variogram(c: CoeffPair, lag: Lag, q: QuadratureSettings | None = None) -> float:
     """Variogram via the combined-difference Laplace integrand.
 
-    ``exp(-x)[I_0(2ax) I_0(2bx) - I_s(2ax) I_t(2bx)]`` decays only
-    algebraically on the boundary, so the far tail is integrated in the
-    substituted variable u = 1/x where it is smooth and bounded; near the
-    boundary its panels are graded toward u = 0 on the scale of the gap.
-
-    Raises :class:`DomainError` for a negative coefficient, and on the
-    boundary when ``a`` or ``b`` is 0.
+    ``exp(-x)[I_0(2|a|x) I_0(2|b|x) - sigma I_s(2|a|x) I_t(2|b|x)]`` with
+    ``sigma = (-1)^(s [a<0] + t [b<0])``.  Raises :class:`DomainError` on
+    the boundary where ``sigma = -1``, where the variogram diverges, and
+    at every lag when ``a`` or ``b`` is 0.
     """
     q = q or QuadratureSettings()
-    a, b = c.a, c.b
+    a, b = abs(c.a), abs(c.b)
     gap = _oracle_gap(a, b, "difference form")
     s, t = lag.s, lag.t
+    sign = _laplace_sign(c, lag)
+    if gap == 0.0 and sign < 0.0:
+        raise DomainError(
+            f"the variogram diverges on the boundary at a = {c.a}, b = {c.b}, "
+            f"lag ({s}, {t})"
+        )
     if s == 0 and t == 0:
         return 0.0
-    tol = q.abs_tol / 20.0
 
     def diff(xs: np.ndarray) -> np.ndarray:
         ya, yb = 2.0 * a * xs, 2.0 * b * xs
         i0a, i0b = _ive_vec(0, ya), _ive_vec(0, yb)
         isa = i0a if s == 0 else _ive_vec(s, ya)
         itb = i0b if t == 0 else _ive_vec(t, yb)
-        return np.exp(-gap * xs) * (i0a * i0b - isa * itb)
+        return np.exp(-gap * xs) * (i0a * i0b - sign * isa * itb)
 
-    x_head = 64.0
-    val_head, err_head = _refined_panel_integral(diff, np.linspace(0.0, x_head, 33), tol)
-
-    if gap > 0.05:
-        # Exponential decay: extend the head until the bound is negligible.
-        cut = _laplace_tail_cut(a, b, gap, tol)
-        val_tail, err_tail = 0.0, 0.0
-        if cut > x_head:
-            edges = np.linspace(x_head, cut, max(8, int((cut - x_head) / 4.0)) + 1)
-            val_tail, err_tail = _refined_panel_integral(diff, edges, tol)
-    else:
-
-        def tail(us: np.ndarray) -> np.ndarray:
-            xs = 1.0 / us
-            return diff(xs) * xs * xs
-
-        # u = 0 maps to the x -> inf limit; Gauss-Legendre nodes are
-        # interior, so the panel rule never evaluates the endpoint.
-        edges = _graded_tail_edges(1.0 / x_head, 48, gap)
-        val_tail, err_tail = _refined_panel_integral(tail, edges, tol)
-
-    val = val_head + val_tail
-    err = err_head + err_tail + 2.0 * tol + _KERNEL_REL_ERROR * abs(val)
-    if err > max(q.abs_tol, q.rel_tol * abs(val)):
-        raise ToleranceNotReachedError(
-            f"difference-form error estimate {err:.3e} exceeds tolerance"
-        )
-    return val
+    return _laplace_integral(diff, a, b, gap, q)

@@ -68,16 +68,11 @@ _OVERFLOW = "double series: the sum exceeds the float range"
 
 @dataclass(frozen=True)
 class SeriesValue:
-    """Result of a truncated series evaluation.
-
-    ``converged`` is set only when ``tail_estimate`` is at or below the
-    requested relative tolerance times ``max(1, |value|)``.
-    """
+    """Result of a truncated series evaluation."""
 
     value: float
     terms_used: int
     tail_estimate: float
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -267,8 +262,8 @@ def _pfq_series(
     tail is geometric on the last ratio, never below ``|z|``, the limit
     of that ratio.  The reported ``tail_estimate`` adds a rounding term
     ``eps * sum_k k |t_k|``, since term k is a product of k rounded
-    ratios; the stopping test uses the truncation tail alone, so a
-    ``rel_tol`` below the rounding level returns ``converged=False``.
+    ratios; the stopping test uses the truncation tail alone, so with a
+    ``rel_tol`` below the rounding level the estimate exceeds it.
     """
     if abs(z) >= 1.0:
         raise OutOfRegionError(
@@ -278,7 +273,7 @@ def _pfq_series(
         if b <= 0.0 and b == int(b):
             raise DomainError(f"lower parameter {b} is a nonpositive integer")
     if z == 0.0 or 0.0 in uppers:
-        return SeriesValue(1.0, 1, 0.0, True)
+        return SeriesValue(1.0, 1, 0.0)
     total = 1.0
     term = 1.0
     rounding = 0.0
@@ -298,8 +293,7 @@ def _pfq_series(
         r = max(min(abs(float(ratios[-1])), _RATIO_CLAMP), abs(z))
         tail = abs(term) / (1.0 - r)
         if term == 0.0 or tail <= rel_tol * max(1.0, abs(total)):
-            est = tail + math.ulp(1.0) * rounding
-            return SeriesValue(total, nterms, est, est <= rel_tol * max(1.0, abs(total)))
+            return SeriesValue(total, nterms, tail + math.ulp(1.0) * rounding)
         if nterms > max_terms:
             raise MaxTermsExceededError(
                 f"{len(uppers)}F{len(lowers)} series: {nterms} terms at z={z}, "
@@ -374,7 +368,7 @@ def _double_series(terms: _DoubleTerms, rel_tol: float, max_terms: int) -> Serie
             total += diag
             nterms += kept
             if diag == 0.0:
-                return SeriesValue(total, nterms, 0.0, True)
+                return SeriesValue(total, nterms, 0.0)
             if diag < rel_tol * total and d_prev < rel_tol * total:
                 r = diag / d_prev if d_prev > 0.0 else 0.0
                 r = max(min(r, _RATIO_CLAMP), terms.rho)
@@ -382,7 +376,7 @@ def _double_series(terms: _DoubleTerms, rel_tol: float, max_terms: int) -> Serie
                 if tail <= rel_tol * max(1.0, total):
                     if total == math.inf:
                         raise ConvergenceError(_OVERFLOW)
-                    return SeriesValue(total, nterms, tail, True)
+                    return SeriesValue(total, nterms, tail)
             if nterms > max_terms:
                 raise MaxTermsExceededError(
                     f"double series: {nterms} terms over {n + 1} diagonals, "
@@ -469,11 +463,9 @@ def f4_equal_args_reduction(
 ) -> SeriesValue:
     """Equal-argument reduction of the F4 series to a single 4F3 at 4x.
 
-    Outside |4x| < 1 no convergent series exists and the result is
-    flagged not converged instead of raising.
+    Outside |4x| < 1 no convergent series exists, and
+    :class:`OutOfRegionError` is raised.
     """
-    if abs(4.0 * x) >= 1.0:
-        return SeriesValue(math.nan, 0, math.inf, False)
     uppers = (alpha, beta, 0.5 * (gamma1 + gamma2), 0.5 * (gamma1 + gamma2 - 1.0))
     lowers = (gamma1, gamma2, gamma1 + gamma2 - 1.0)
     return _pfq_series(uppers, lowers, 4.0 * x, cfg.rel_tol, cfg.max_terms)

@@ -239,7 +239,7 @@ def i_st(c: CoeffPair, lag: Lag, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesValu
         # it is kept exact.
         pref = math.comb(s + t, s) * Fraction(c.a) ** s * Fraction(c.b) ** t
     if pref == 0.0:
-        return SeriesValue(0.0, 1, 0.0, True)
+        return SeriesValue(0.0, 1, 0.0)
     f4 = _cached_f4(
         F4Params(
             (s + t + 1) / 2.0,
@@ -254,8 +254,8 @@ def i_st(c: CoeffPair, lag: Lag, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesValu
     if isinstance(pref, Fraction):
         value = float(pref * Fraction(f4.value))
         tail = float(abs(pref) * Fraction(f4.tail_estimate))
-        return SeriesValue(value, f4.terms_used, tail, f4.converged)
-    return SeriesValue(pref * f4.value, f4.terms_used, abs(pref) * f4.tail_estimate, f4.converged)
+        return SeriesValue(value, f4.terms_used, tail)
+    return SeriesValue(pref * f4.value, f4.terms_used, abs(pref) * f4.tail_estimate)
 
 
 def variogram_exact(c: CoeffPair, lag: Lag, cfg: EvalConfig = DEFAULT_CONFIG) -> VariogramResult:
@@ -475,8 +475,7 @@ def _b_series_eval(s: int, t: int, cfg: EvalConfig, transformed: bool) -> Series
     with mp.workdps(_BSERIES_DPS):
         partials = _b_series_partials(s, t, _BSERIES_KMAX, transformed)
         value, err = _half_power_limit(partials, order=14)
-    converged = err <= cfg.rel_tol * max(1.0, abs(value))
-    return SeriesValue(value, _BSERIES_KMAX, err, converged)
+    return SeriesValue(value, _BSERIES_KMAX, err)
 
 
 def b_st(lag: Lag, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesValue:

@@ -247,6 +247,16 @@ class TestTable:
         assert len(records) == 2
         assert records[0]["value"] == 0.0
 
+    @pytest.mark.parametrize("bounds", [("-1", "2"), ("2", "-1")])
+    def test_negative_lag_bound_usage_error(self, capsys, bounds):
+        # --smax -1 printed only the CSV header and exited 0.
+        code, out, err = run_cli(
+            capsys,
+            "table", "--a", "0.2", "--b", "0.1", "--smax", bounds[0], "--tmax", bounds[1],
+        )
+        assert code == 1 and out == ""
+        assert "must be nonnegative" in err
+
 
 class TestVerify:
     def test_interior_three_way(self, capsys):
@@ -337,6 +347,54 @@ class TestVerify:
         reduced = float(values["reduced"])
         for oracle in ("quad", "bessel-difference"):
             assert abs(reduced - float(values[oracle])) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "a,b,s,tol,methods",
+        [
+            ("-0.2", "0.1", "1", "1e-6", ["exact", "bessel-difference"]),
+            ("-0.3", "0.2", "2", "1e-3", ["reduced", "bessel-difference"]),
+        ],
+    )
+    def test_negative_coefficient_compared(self, capsys, a, b, s, tol, methods):
+        # The Bessel-Laplace oracle takes either sign, so the negative half
+        # of the region has two values to compare; only the quadrature
+        # oracle (and the Abel path) refuse there.
+        code, out, err = run_cli(
+            capsys, "verify", "--a", a, "--b", b, "--s", s, "--t", "0", "--tol", tol
+        )
+        assert code == 0, err
+        values = dict(line.split() for line in out.splitlines() if len(line.split()) == 2)
+        assert list(values) == methods
+        assert "quad               refused: quadrature oracle requires a, b >= 0" in out
+
+    def test_diverging_sign_refused(self, capsys):
+        # On the boundary with (-1)^(s [a<0] + t [b<0]) = -1 the variogram
+        # diverges: the default route and the difference form both refuse.
+        code, out, err = run_cli(
+            capsys, "verify", "--a", "-0.3", "--b", "0.2", "--s", "1", "--t", "0",
+            "--tol", "1e-3",
+        )
+        assert code == 1
+        for name in ("reduced", "bessel-difference"):
+            assert f"{name:18s} refused: the variogram diverges" in out
+        assert "fewer than two methods" in err
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_tolerance_not_positive_finite_usage_error(self, capsys, tol):
+        # --tol -1 and --tol nan ran every method and then failed the
+        # comparison with exit 2.
+        code, out, err = run_cli(
+            capsys, "verify", "--a", "0.2", "--b", "0.1", "--s", "1", "--t", "0", "--tol", tol
+        )
+        assert code == 1 and out == ""
+        assert "must be positive and finite" in err
+
+    def test_tolerance_of_one_or_more_accepted(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--a", "0.2", "--b", "0.1", "--s", "1", "--t", "0", "--tol", "2"
+        )
+        assert code == 0, err
+        assert "(tolerance 2)" in out
 
     def test_breach_exits_nonzero(self, capsys):
         code, _, err = run_cli(

@@ -1,11 +1,14 @@
 """Unit tests for the integral oracles."""
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from iavar.errors import DomainError, OutOfRegionError, ToleranceNotReachedError
 from iavar.oracle import (
@@ -16,9 +19,9 @@ from iavar.oracle import (
     bessel_laplace_variogram,
     quadrature_variogram,
 )
-from iavar.variogram import EPS_EDGE, CoeffPair, Lag, Regime
+from iavar.variogram import EPS_EDGE, CoeffPair, Lag, Regime, variogram_integral
 
-from conftest import reduced_integral
+from conftest import i00_closed_form, reduced_integral
 
 
 class TestSettings:
@@ -168,10 +171,14 @@ class TestLaplaceRoute:
         with pytest.raises(OutOfRegionError):
             bessel_laplace_i_st(pair, Lag(1, 0))
 
-    def test_single_form_refuses_uncertifiable_tail(self):
-        # Just outside the boundary band the tail cut passes its limit.
-        with pytest.raises(ToleranceNotReachedError, match="tail bound cannot certify"):
-            bessel_laplace_i_st(CoeffPair(0.3, 0.2 - 1e-8), Lag(1, 0))
+    @pytest.mark.parametrize("a,b,s,t", [(0.3, 0.2 - 1e-8, 1, 0), (0.3, 0.199999, 2, 1)])
+    def test_single_form_near_boundary(self, a, b, s, t):
+        # Just outside the boundary band, where a truncation point of the
+        # exponential tail bound passed 1e5 and the term was refused.
+        q = QuadratureSettings(1e-12, 1e-12)
+        got = bessel_laplace_i_st(CoeffPair(a, b), Lag(s, t), q)
+        want = float(i00_closed_form(a, b)) - reduced_integral(a, b, s, t, dps=40)
+        assert abs(got - want) <= max(q.abs_tol, q.rel_tol * abs(want))
 
     def test_tolerance_below_kernel_accuracy_refused(self):
         # A zero panel-doubling difference does not certify 1e-20: the
@@ -215,6 +222,26 @@ class TestLaplaceRoute:
         got = bessel_laplace_variogram(CoeffPair(a, b), Lag(s, t), q)
         assert abs(got - reduced_integral(a, b, s, t)) <= max(q.abs_tol, q.rel_tol * abs(got))
 
+    @pytest.mark.parametrize("s,t", [(1, 0), (2, 1), (0, 1)])
+    @pytest.mark.parametrize("a", [1e-9, 1e-7, 1e-6, 3e-6, 1e-5, 1e-4])
+    def test_difference_form_tail_graded_on_the_small_coefficient(self, a, s, t):
+        # On the boundary near a = 0 the tail integrand changes at u ~ 2a,
+        # inside the first equal panel; at a = 1e-6 the gap rounds below 0
+        # and lag (1, 0) was off by 2.2e-2 with a bar of 4.5e-6.
+        q = QuadratureSettings()
+        got = bessel_laplace_variogram(CoeffPair(a, 0.5 - a), Lag(s, t), q)
+        want = reduced_integral(a, 0.5 - a, s, t)
+        assert abs(got - want) <= max(q.abs_tol, q.rel_tol * abs(want))
+
+    @pytest.mark.parametrize("a,b", [(0.0, 0.3), (0.0, 0.4999), (0.3, 0.0), (0.49999, 0.0)])
+    @pytest.mark.parametrize("s,t", [(1, 0), (0, 1), (2, 0), (2, 1)])
+    def test_difference_form_zero_coefficient(self, a, b, s, t):
+        # Grading on 2|a| or 2|b| skips a zero coefficient.
+        q = QuadratureSettings(1e-12, 1e-12)
+        got = bessel_laplace_variogram(CoeffPair(a, b), Lag(s, t), q)
+        want = reduced_integral(a, b, s, t)
+        assert abs(got - want) <= max(q.abs_tol, q.rel_tol * abs(want))
+
     def test_oracle_self_consistency(self):
         # the two oracles share no numerical kernel; agreement localizes bugs
         coeffs = [0.1, 0.2, 0.25]
@@ -253,3 +280,55 @@ class TestBoundaryCorners:
         got = oracle(CoeffPair(a, 0.5 - a), Lag(0, 1), q)
         want = reduced_integral(a, 0.5 - a, 0, 1)
         assert abs(got - want) <= max(q.abs_tol, q.rel_tol * abs(got))
+
+
+@st.composite
+def signed_pairs(draw):
+    """(a, b) over the whole region: either sign, gap 0 or 1e-9 to 0.5, a or b
+    0 or down to 1e-9 of ``|a| + |b|``.
+
+    The gap is drawn; the one the oracle sees is that of the rounded
+    pair, which may round to the boundary or just past it.  A smaller
+    nonzero share puts a feature at ``x ~ sqrt(|a|)`` on the boundary
+    that the reference integral does not resolve.
+    """
+    gap = draw(st.one_of(st.just(0.0), st.floats(-9.0, math.log10(0.5)).map(lambda e: 10.0**e)))
+    share = draw(st.one_of(
+        st.sampled_from([0.0, 1.0]),
+        st.floats(1e-9, 1.0),
+        st.floats(-9.0, -2.0).map(lambda e: 10.0**e),
+    ))
+    if draw(st.booleans()):
+        share = 1.0 - share
+    total = (1.0 - gap) / 2.0
+    a = total * share
+    b = total - a
+    return (-a if draw(st.booleans()) else a, -b if draw(st.booleans()) else b)
+
+
+class TestDifferenceFormOverTheRegion:
+    # No shrink phase: each example costs an mpmath integral, and the
+    # failing example is reported as drawn.
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(signed_pairs(), st.integers(0, 20), st.integers(0, 20))
+    def test_value_or_domain_error(self, pair, s, t):
+        # A value within the enforced bar of the 30-digit reduced
+        # integral, or DomainError exactly where the default route raises
+        # it and at the boundary corners.
+        a, b = pair
+        c, lag = CoeffPair(a, b), Lag(s, t)
+        q = QuadratureSettings()
+        on_boundary = 1 - 2 * abs(Fraction(a)) - 2 * abs(Fraction(b)) <= 0
+        try:
+            variogram_integral(c, lag)
+            diverges = False
+        except DomainError:
+            diverges = True
+        if diverges or (on_boundary and (a == 0.0 or b == 0.0)):
+            with pytest.raises(DomainError):
+                bessel_laplace_variogram(c, lag, q)
+            return
+        got = bessel_laplace_variogram(c, lag, q)
+        want = reduced_integral(a, b, s, t)
+        assert abs(got - want) <= max(q.abs_tol, q.rel_tol * abs(want))
